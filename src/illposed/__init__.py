@@ -11,13 +11,12 @@ problems and a reproducible CLI.
 from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
                           discrepancy_value, solve_for_epsilon,
                           stop_from_profile, stopping_time)
-from .dsm import DSMConfig, DSMResult, Trajectory, evolve, rhs, run_dsm
+from .dsm import DSMConfig, DSMResult, Trajectory, evolve, run_dsm
 from .errors import (ConfigError, DimensionMismatchError, IllposedError,
                      NumericalError, PreconditionError)
 from .nonlinear import (MonotoneOperator, NearMinimizer, NonlinearStopping,
                         SeparableMonotoneOperator, check_monotonicity,
-                        functional_F, near_minimize, nonlinear_discrepancy,
-                        nonlinear_discrepancy_result)
+                        functional_F, near_minimize, nonlinear_discrepancy_result)
 from .operators import (DenseOperator, SpectralDecomposition, as_vector,
                         decompose, load_matrix, load_operator, load_vector,
                         normalize, project_range_closure,
@@ -72,14 +71,12 @@ __all__ = [
     "load_operator",
     "load_vector",
     "near_minimize",
-    "nonlinear_discrepancy",
     "nonlinear_discrepancy_result",
     "normalize",
     "project_range_closure",
     "rank_deficient_problem",
     "regularized_normal_solve",
     "regularized_normal_solve_direct",
-    "rhs",
     "run_dsm",
     "save_matrix",
     "save_operator",

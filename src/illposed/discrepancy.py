@@ -4,12 +4,13 @@ The residual norm of the regularized normal-equation solution,
 ``||A (A^T A + eps)^{-1} A^T f - f||``, is evaluated through the spectral
 weights of the data; setting it equal to C * delta and solving for eps
 yields the regularization strength at which integration should stop.
+The same profile is the spectral record the evolution in ``dsm`` reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,32 +24,35 @@ _EPS_FLOOR = 1e-300
 
 @dataclass(frozen=True, eq=False)
 class DiscrepancyProfile:
-    """Weights of the data on the operator's spectrum.
+    """Spectral record of a data vector under a decomposition.
 
-    ``lambdas`` holds the squared retained singular values (descending),
-    ``betas`` the squared data coefficients on the matching left singular
-    vectors, ``null_mass`` the squared norm of the data component outside
-    the retained range, and ``data_norm_sq`` the squared data norm.
-    Parseval: sum(betas) + null_mass == data_norm_sq.
+    ``coefficients`` holds the signed data coefficients g = U_r^T f on the
+    retained left singular vectors, ``betas`` their squares, ``lambdas``
+    the squared retained singular values (descending), ``null_mass`` the
+    squared norm of the remainder f - U_r g (the data outside the retained
+    range), and ``data_norm_sq`` the squared data norm.
+    Parseval: sum(betas) + null_mass == data_norm_sq up to rounding.
     """
 
     lambdas: np.ndarray
-    betas: np.ndarray
+    coefficients: np.ndarray
     null_mass: float
     data_norm_sq: float
+    betas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lam = _frozen(self.lambdas)
-        bet = _frozen(self.betas)
-        if lam.shape != bet.shape or lam.ndim != 1:
+        g = _frozen(self.coefficients)
+        if lam.shape != g.shape or lam.ndim != 1:
             raise DimensionMismatchError(
-                f"lambdas {lam.shape} and betas {bet.shape} must be matching 1-D arrays")
-        if np.any(lam < 0) or np.any(bet < 0):
-            raise PreconditionError("spectral weights must be nonnegative")
+                f"lambdas {lam.shape} and coefficients {g.shape} must be matching 1-D arrays")
+        if np.any(lam < 0):
+            raise PreconditionError("squared singular values must be nonnegative")
         if self.null_mass < 0 or self.data_norm_sq <= 0:
             raise PreconditionError("null_mass must be >= 0 and data_norm_sq > 0")
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "betas", bet)
+        object.__setattr__(self, "coefficients", g)
+        object.__setattr__(self, "betas", _frozen(g * g))
 
     @property
     def data_norm(self) -> float:
@@ -56,19 +60,23 @@ class DiscrepancyProfile:
 
 
 def build_profile(dec: SpectralDecomposition, f_delta) -> DiscrepancyProfile:
-    """Assemble the discrepancy profile of ``f_delta`` under ``dec``."""
+    """Assemble the discrepancy profile of ``f_delta`` under ``dec``.
+
+    The null mass is the squared norm of the explicit remainder, not
+    ||f||^2 - sum(betas): that difference is cancellation noise of about
+    1e-14 ||f||^2, which biases the root once (C delta)^2 falls near it.
+    """
     f = as_vector(f_delta, "data vector")
     if f.shape[0] != dec.rows:
         raise DimensionMismatchError(
             f"data vector has length {f.shape[0]}, operator has {dec.rows} rows")
     r = dec.numerical_rank
-    coeffs = dec.left_vectors[:, :r].T @ f
-    betas = coeffs * coeffs
-    lambdas = dec.singular_values[:r] ** 2
-    nsq = float(f @ f)
-    null_mass = max(nsq - float(betas.sum()), 0.0)
-    return DiscrepancyProfile(lambdas=lambdas, betas=betas,
-                              null_mass=null_mass, data_norm_sq=nsq)
+    U = dec.left_vectors[:, :r]
+    g = U.T @ f
+    remainder = f - U @ g
+    return DiscrepancyProfile(lambdas=dec.singular_values[:r] ** 2, coefficients=g,
+                              null_mass=float(remainder @ remainder),
+                              data_norm_sq=float(f @ f))
 
 
 def discrepancy_value(p: DiscrepancyProfile, eps: float) -> float:

@@ -1,15 +1,22 @@
 """Evolution of the regularized normal equation up to the stopping time.
 
 The state obeys u' = -u + w(t) with w(t) = (A^T A + eps(t))^{-1} A^T f.
-Two independent integrators act as mutual oracles: an exponential
+In the right-singular coordinates z = V_r^T u the evolution is diagonal,
+
+    z_i' = -z_i + s_i g_i / (s_i^2 + eps(t)),    g = U_r^T f,
+
+so both integrators evolve the r-vector z, reading s, g and the null mass
+from the data's DiscrepancyProfile, and map back with u = V_r z only at
+report times; the part of the start state outside span(V_r) decays as
+e^{-t}.  Two independent integrators act as mutual oracles: an exponential
 integrator that evaluates the variation-of-constants form
 
-    u(b) = e^{-(b-a)} u(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau
+    z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau
 
 gap by gap with adaptive Gauss-Legendre panels, and an embedded
-Dormand-Prince 5(4) pair with step-size control.  The exponential route
-works in shifted exponents per gap, so stopping times far beyond the
-underflow horizon of e^{-t} are handled exactly.
+Dormand-Prince 5(4) pair with step-size control, the cross-check oracle.
+The exponential route works in shifted exponents per gap, so stopping
+times far beyond the underflow horizon of e^{-t} are handled exactly.
 """
 
 from __future__ import annotations
@@ -19,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import StoppingResult, build_profile, stop_from_profile
+from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
+                          stop_from_profile)
 from .errors import (ConfigError, DimensionMismatchError, IllposedError,
                      NumericalError, PreconditionError)
 from .operators import (SpectralDecomposition, _frozen, as_vector,
-                        project_range_closure, regularized_normal_solve)
+                        project_range_closure)
 from .schedule import Schedule
 
 INTEGRATORS = ("exponential_quadrature", "adaptive_runge_kutta")
@@ -147,51 +155,47 @@ class DSMResult:
         return out
 
 
-class _TikhonovApplier:
-    """Batched evaluation of w(eps) for a fixed decomposition and data."""
-
-    def __init__(self, dec: SpectralDecomposition, f: np.ndarray):
-        self._V = dec.right_vectors
-        sigma = dec.singular_values
-        self._coef = sigma * (dec.left_vectors.T @ f)
-        self._lam = sigma * sigma
-
-    def single(self, eps: float) -> np.ndarray:
-        return self._V @ (self._coef / (self._lam + eps))
-
-    def batch(self, eps: np.ndarray) -> np.ndarray:
-        # returns states as columns, one per eps
-        return self._V @ (self._coef[:, None] / (self._lam[:, None] + eps[None, :]))
-
-
-def rhs(dec: SpectralDecomposition, schedule: Schedule, f_delta, t: float, u) -> np.ndarray:
-    """Time derivative -u + w(t) of the evolution at state ``u``."""
-    if t < 0:
-        raise PreconditionError(f"t must be nonnegative, got {t}")
-    v = as_vector(u, "state")
-    if v.shape[0] != dec.cols:
-        raise DimensionMismatchError(
-            f"state has length {v.shape[0]}, operator has {dec.cols} columns")
-    return regularized_normal_solve(dec, schedule.eval(t), f_delta) - v
-
-
 def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
            t_end: float, cfg: DSMConfig | None = None) -> Trajectory:
-    """Integrate the evolution from 0 to ``t_end`` and record the path."""
+    """Integrate the evolution from 0 to ``t_end`` and record the path.
+
+    ``f_delta`` is the data vector, or its profile from ``build_profile``
+    under ``dec``.  A failure raises ``NumericalError`` tagged with stage
+    ``integration`` and carrying the trajectory up to the failure.
+    """
     cfg = cfg or DSMConfig()
-    f = as_vector(f_delta, "data vector")
-    if f.shape[0] != dec.rows:
+    profile = (f_delta if isinstance(f_delta, DiscrepancyProfile)
+               else build_profile(dec, f_delta))
+    if profile.coefficients.shape[0] != dec.numerical_rank:
         raise DimensionMismatchError(
-            f"data vector has length {f.shape[0]}, operator has {dec.rows} rows")
+            f"profile has {profile.coefficients.shape[0]} coefficients, "
+            f"operator has numerical rank {dec.numerical_rank}")
     if not (t_end > 0 and math.isfinite(t_end)):
         raise PreconditionError(f"t_end must be positive and finite, got {t_end}")
-    u0 = np.zeros(dec.cols) if cfg.initial_state is None else np.asarray(cfg.initial_state)
+    u0 = _initial_state(dec, cfg)
+    r = dec.numerical_rank
+    sg = dec.singular_values[:r] * profile.coefficients
+    times = _report_grid(t_end, cfg.trajectory_points)
+    zs = [dec.right_vectors[:, :r].T @ u0]
+    integrate = (_evolve_exponential if cfg.integrator == "exponential_quadrature"
+                 else _evolve_rk)
+    try:
+        integrate(schedule, sg, profile.lambdas, times, cfg, zs)
+    except NumericalError as exc:
+        exc.stage = "integration"
+        exc.trajectory = _record(dec, profile, u0, times[:len(zs)], zs)
+        raise
+    return _record(dec, profile, u0, times, zs)
+
+
+def _initial_state(dec: SpectralDecomposition, cfg: DSMConfig) -> np.ndarray:
+    if cfg.initial_state is None:
+        return np.zeros(dec.cols)
+    u0 = np.asarray(cfg.initial_state)
     if u0.shape[0] != dec.cols:
         raise DimensionMismatchError(
             f"initial state has length {u0.shape[0]}, operator has {dec.cols} columns")
-    if cfg.integrator == "exponential_quadrature":
-        return _evolve_exponential(dec, schedule, f, t_end, cfg, u0)
-    return _evolve_rk(dec, schedule, f, t_end, cfg, u0)
+    return u0
 
 
 def _report_grid(t_end: float, points: int) -> np.ndarray:
@@ -217,75 +221,83 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _finalize_trajectory(dec: SpectralDecomposition, f: np.ndarray,
-                         times, states) -> Trajectory:
+def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
+            times, zs) -> Trajectory:
+    """States u = V_r z + e^{-t} (u0 - V_r V_r^T u0) at ``times``, with the
+    spectral residuals sqrt(sum_i (s_i z_i - g_i)^2 + null_mass)."""
+    r = dec.numerical_rank
+    V = dec.right_vectors[:, :r]
     ts = np.asarray(times, dtype=float)
-    st = np.asarray(states, dtype=float)
-    pred = (st @ dec.right_vectors * dec.singular_values) @ dec.left_vectors.T
-    res = np.linalg.norm(pred - f, axis=1)
-    return Trajectory(times=ts, states=st, residual_norms=res)
+    z = np.asarray(zs, dtype=float)
+    states = z @ V.T + np.exp(-ts)[:, None] * (u0 - V @ (V.T @ u0))
+    states[0] = u0  # exactly, not its two parts summed with rounding
+    misfit = z * dec.singular_values[:r] - p.coefficients
+    residuals = np.sqrt(np.sum(misfit * misfit, axis=1) + p.null_mass)
+    return Trajectory(times=ts, states=states, residual_norms=residuals)
 
 
-def _evolve_exponential(dec, schedule, f, t_end, cfg, u0) -> Trajectory:
-    app = _TikhonovApplier(dec, f)
-    times = _report_grid(t_end, cfg.trajectory_points)
+def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
+    """Append z at each report time after the first to ``zs``."""
+    sg_col, lam_col = sg[:, None], lam[:, None]
+
+    def w(eps: np.ndarray) -> np.ndarray:
+        # equilibria in z-coordinates as columns, one per eps
+        return sg_col / (lam_col + eps[None, :])
+
     budget = _StepBudget(cfg.max_steps)
-    states = [u0]
-    u = u0
+    z = zs[0]
     try:
         for a, b in zip(times[:-1], times[1:]):
             gap = b - a
             window = min(gap, _WINDOW)
-            scale = float(np.linalg.norm(app.single(schedule.eval(b))))
+            scale = float(np.linalg.norm(sg / (lam + schedule.eval(b))))
             tol = max(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
-            integral = _gap_integral(app, schedule, b, window, tol, budget)
-            u = math.exp(-gap) * u + integral
-            if not np.all(np.isfinite(u)):
-                raise NumericalError(
-                    "integration diverged",
-                    trajectory=_finalize_trajectory(dec, f, times[:len(states)], states))
-            states.append(u)
+            z = math.exp(-gap) * z + _gap_integral(w, schedule, b, window, tol, budget)
+            if not np.all(np.isfinite(z)):
+                raise NumericalError("integration diverged")
+            zs.append(z)
     except _BudgetExceeded:
         raise NumericalError(
-            f"max_steps = {cfg.max_steps} exceeded at t = {times[len(states) - 1]}",
-            trajectory=_finalize_trajectory(dec, f, times[:len(states)], states)) from None
-    return _finalize_trajectory(dec, f, times, states)
+            f"max_steps = {cfg.max_steps} exceeded at t = {times[len(zs) - 1]}") from None
 
 
-def _gap_integral(app, schedule, t_right: float, window: float, tol: float,
+def _gap_integral(w, schedule, t_right: float, window: float, tol: float,
                   budget: _StepBudget) -> np.ndarray:
     """integral_0^window e^{-tau} w(t_right - tau) dtau, adaptively."""
     n_panels = max(1, int(math.ceil(window / _MAX_PANEL_WIDTH)))
     edges = np.linspace(0.0, window, n_panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        coarse = _gl_panel(app, schedule, t_right, lo, hi, budget)
-        total = total + _refine_panel(app, schedule, t_right, lo, hi, coarse,
+        coarse = _gl_panel(w, schedule, t_right, lo, hi, budget)
+        total = total + _refine_panel(w, schedule, t_right, lo, hi, coarse,
                                       tol * (hi - lo) / window, 0, budget)
     return total
 
 
-def _refine_panel(app, schedule, t_right, lo, hi, coarse, tol, depth, budget):
+def _refine_panel(w, schedule, t_right, lo, hi, coarse, tol, depth, budget):
     mid = 0.5 * (lo + hi)
-    left = _gl_panel(app, schedule, t_right, lo, mid, budget)
-    right = _gl_panel(app, schedule, t_right, mid, hi, budget)
+    left = _gl_panel(w, schedule, t_right, lo, mid, budget)
+    right = _gl_panel(w, schedule, t_right, mid, hi, budget)
     fine = left + right
     err = float(np.linalg.norm(fine - coarse))
-    if err <= tol or depth >= _MAX_PANEL_DEPTH:
+    if err <= tol:
         return fine
-    return (_refine_panel(app, schedule, t_right, lo, mid, left, tol / 2, depth + 1, budget)
-            + _refine_panel(app, schedule, t_right, mid, hi, right, tol / 2, depth + 1, budget))
+    if depth >= _MAX_PANEL_DEPTH:
+        raise NumericalError(
+            f"quadrature panel [{t_right - hi}, {t_right - lo}] not converged after "
+            f"{_MAX_PANEL_DEPTH} bisections: error {err:.3e} > tolerance {tol:.3e}")
+    return (_refine_panel(w, schedule, t_right, lo, mid, left, tol / 2, depth + 1, budget)
+            + _refine_panel(w, schedule, t_right, mid, hi, right, tol / 2, depth + 1, budget))
 
 
-def _gl_panel(app, schedule, t_right, lo, hi, budget) -> np.ndarray:
+def _gl_panel(w, schedule, t_right, lo, hi, budget) -> np.ndarray:
     budget.charge()
     width = hi - lo
     tau = lo + width * _GL_NODES
     s = np.maximum(t_right - tau, 0.0)
     eps = np.asarray(schedule.eval(s), dtype=float)
-    w = app.batch(eps)
     weights = _GL_WEIGHTS * width * np.exp(-tau)
-    return w @ weights
+    return w(eps) @ weights
 
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution propagates and the
@@ -306,65 +318,54 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_ERR = _DP_B5 - _DP_B4
 
 
-def _evolve_rk(dec, schedule, f, t_end, cfg, u0) -> Trajectory:
-    app = _TikhonovApplier(dec, f)
+def _evolve_rk(schedule, sg, lam, times, cfg, zs) -> None:
+    """Append z at each report time after the first to ``zs``; steps are
+    clipped so that they land on the report times."""
+    t_end = float(times[-1])
+    min_steps = math.ceil(t_end / _RK_MAX_STEP)
+    if min_steps > cfg.max_steps:
+        raise NumericalError(
+            f"adaptive_runge_kutta needs at least {min_steps} steps of at most "
+            f"{_RK_MAX_STEP} to reach t = {t_end}; max_steps = {cfg.max_steps}")
 
-    def deriv(t: float, u: np.ndarray) -> np.ndarray:
-        return app.single(float(schedule.eval(t))) - u
+    def deriv(t: float, z: np.ndarray) -> np.ndarray:
+        return sg / (lam + float(schedule.eval(t))) - z
 
-    times = [0.0]
-    states = [u0]
-    cap = cfg.trajectory_points
-
-    def record(t, u):
-        times.append(t)
-        states.append(u)
-        if len(times) > 4 * cap:
-            del times[1:-1:2]
-            del states[1:-1:2]
-
-    t, u = 0.0, u0
+    t, z = 0.0, zs[0]
     h = min(0.01, t_end)
-    k = [np.empty_like(u0) for _ in range(7)]
-    k[0] = deriv(t, u)
+    k = [None] * 7
+    k[0] = deriv(t, z)
     steps = 0
-    while t < t_end:
-        steps += 1
-        if steps > cfg.max_steps:
-            raise NumericalError(
-                f"max_steps = {cfg.max_steps} exceeded at t = {t}",
-                trajectory=_finalize_trajectory(dec, f, times, states))
-        h = min(h, t_end - t)
-        final = h == t_end - t
-        for i in range(1, 7):
-            incr = sum(aij * k[j] for j, aij in enumerate(_DP_A[i]))
-            k[i] = deriv(t + _DP_C[i] * h, u + h * incr)
-        u_new = u + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-        err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
-        scale = cfg.absolute_tolerance + cfg.relative_tolerance * max(
-            float(np.linalg.norm(u)), float(np.linalg.norm(u_new)))
-        err = float(np.linalg.norm(err_vec)) / scale
-        if not math.isfinite(err):
-            raise NumericalError(
-                "integration diverged",
-                trajectory=_finalize_trajectory(dec, f, times, states))
-        if err <= 1.0:
-            t = t_end if final else t + h
-            u = u_new
-            k[0] = k[6]
-            record(t, u)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = min(h * factor, _RK_MAX_STEP)
-        else:
-            # rejected: t, u unchanged, so the FSAL stage k[0] stays valid
-            h *= max(0.2, 0.9 * err ** -0.2)
-            if h < 1e-14 * max(t, 1.0):
-                raise NumericalError(
-                    "step size underflow",
-                    trajectory=_finalize_trajectory(dec, f, times, states))
-    idx = np.unique(np.round(np.linspace(0, len(times) - 1, cap)).astype(int))
-    return _finalize_trajectory(dec, f, [times[i] for i in idx],
-                                [states[i] for i in idx])
+    for t_next in times[1:]:
+        while t < t_next:
+            steps += 1
+            if steps > cfg.max_steps:
+                raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {t}")
+            clipped = h >= t_next - t
+            step = t_next - t if clipped else h
+            for i in range(1, 7):
+                incr = sum(aij * k[j] for j, aij in enumerate(_DP_A[i]))
+                k[i] = deriv(t + _DP_C[i] * step, z + step * incr)
+            z_new = z + step * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
+            err_vec = step * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
+            scale = cfg.absolute_tolerance + cfg.relative_tolerance * max(
+                float(np.linalg.norm(z)), float(np.linalg.norm(z_new)))
+            err = float(np.linalg.norm(err_vec)) / scale
+            if not math.isfinite(err):
+                raise NumericalError("integration diverged")
+            if err <= 1.0:
+                t = t_next if clipped else t + step
+                z = z_new
+                k[0] = k[6]
+                if not clipped:
+                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    h = min(h * factor, _RK_MAX_STEP)
+            else:
+                # rejected: t, z unchanged, so the FSAL stage k[0] stays valid
+                h = step * max(0.2, 0.9 * err ** -0.2)
+                if h < 1e-14 * max(t, 1.0):
+                    raise NumericalError("step size underflow")
+        zs.append(z)
 
 
 def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
@@ -382,29 +383,31 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     f = as_vector(f_delta, "data vector")
 
     with _stage("projection"):
-        profile = build_profile(dec, f)
-        f_used = f
-        projected_null = 0.0
+        f_used, projected_null = f, 0.0
         if C == 1.0 and dec.numerical_rank < dec.rows:
-            if profile.null_mass > _NULL_DUST_REL * profile.data_norm_sq:
+            f_used, projected_null = project_range_closure(dec, f)
+            if projected_null > _NULL_DUST_REL * float(f @ f):
                 raise PreconditionError(
                     "data has null-space component; project f_delta or increase C")
-            f_used, projected_null = project_range_closure(dec, f)
-            profile = build_profile(dec, f_used)
+        profile = build_profile(dec, f_used)
 
     with _stage("discrepancy"):
         stopping = stop_from_profile(profile, schedule, delta, C)
 
     with _stage("integration"):
         if stopping.t_delta == 0.0:
-            u0 = np.zeros(dec.cols) if cfg.initial_state is None else np.asarray(cfg.initial_state)
-            trajectory = _finalize_trajectory(dec, f_used, [0.0], [u0])
+            u0 = _initial_state(dec, cfg)
+            z0 = dec.right_vectors[:, :dec.numerical_rank].T @ u0
+            trajectory = _record(dec, profile, u0, [0.0], [z0])
         else:
-            trajectory = evolve(dec, schedule, f_used, stopping.t_delta, cfg)
+            trajectory = evolve(dec, schedule, profile, stopping.t_delta, cfg)
 
     u_final = trajectory.states[-1]
     residual = float(trajectory.residual_norms[-1])
-    w_final = regularized_normal_solve(dec, stopping.epsilon_star, f_used)
+    r = dec.numerical_rank
+    w_final = dec.right_vectors[:, :r] @ (
+        dec.singular_values[:r] * profile.coefficients
+        / (profile.lambdas + stopping.epsilon_star))
 
     error = tikh_error = None
     if y_reference is not None:

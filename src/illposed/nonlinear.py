@@ -345,13 +345,6 @@ def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
                              trace=tuple(trace))
 
 
-def nonlinear_discrepancy(op: MonotoneOperator, f_delta, delta: float,
-                          C: float = 1.1) -> tuple[float, np.ndarray]:
-    """Convenience wrapper returning (epsilon_delta, u_delta)."""
-    res = nonlinear_discrepancy_result(op, f_delta, delta, C)
-    return res.epsilon_delta, res.u_delta
-
-
 def check_monotonicity(op: MonotoneOperator, pairs: int = 1000, seed: int = 0,
                        scale: float = 1.0) -> float:
     """Smallest inner product (A(u)-A(v), u-v) over seeded random pairs.

@@ -81,10 +81,6 @@ class DenseOperator:
                 f"adjoint_apply: vector has length {v.shape[0]}, operator has {self.rows} rows")
         return self.entries.T @ v
 
-    def adjoint(self) -> "DenseOperator":
-        """The transposed operator."""
-        return DenseOperator(self.entries.T)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:

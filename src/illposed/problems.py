@@ -22,7 +22,7 @@ import scipy.linalg
 from .errors import NumericalError, PreconditionError
 from .nonlinear import SeparableMonotoneOperator
 from .operators import (DenseOperator, SpectralDecomposition, _frozen, as_vector,
-                        decompose, project_range_closure)
+                        decompose, normalize, project_range_closure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +53,7 @@ class NoiseSpec:
 
 def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestProblem:
     """Normalize, project the reference onto the numerical co-kernel, form data."""
-    A, _ = _normalized(entries)
+    A, _ = normalize(DenseOperator(entries))
     dec = decompose(A)
     r = dec.numerical_rank
     V = dec.right_vectors[:, :r]
@@ -62,13 +62,6 @@ def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestPr
     cond = float(dec.singular_values[0] / dec.singular_values[r - 1])
     return TestProblem(operator=A, f_exact=f, y_reference=y,
                        label=label, ill_posedness=cond)
-
-
-def _normalized(entries: np.ndarray) -> tuple[DenseOperator, float]:
-    s1 = float(np.linalg.svd(entries, compute_uv=False)[0])
-    if s1 == 0.0:
-        raise PreconditionError("generator produced a zero operator")
-    return DenseOperator(entries / s1), s1
 
 
 def identity_problem(n: int) -> TestProblem:

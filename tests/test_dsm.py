@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from illposed import (ConfigError, DSMConfig, DenseOperator, NoiseSpec,
                       NumericalError, PreconditionError, Schedule, add_noise,
-                      decompose, default_schedule, evolve, identity_problem,
-                      regularized_normal_solve, rhs, run_dsm)
+                      build_profile, decompose, default_schedule, evolve,
+                      gaussian_blur_problem, identity_problem,
+                      regularized_normal_solve, run_dsm)
 
 
 class ConstantSchedule(Schedule):
@@ -27,36 +30,18 @@ class ConstantSchedule(Schedule):
         raise NotImplementedError("constant schedule has no inverse")
 
 
-class TestRhs:
-    def test_equilibrium(self, gauss32):
-        prob, dec = gauss32
-        s = default_schedule()
-        w = regularized_normal_solve(dec, s.eval(2.0), prob.f_exact)
-        out = rhs(dec, s, prob.f_exact, 2.0, w)
-        assert np.max(np.abs(out)) <= 1e-14
+class JumpSchedule(ConstantSchedule):
+    """eps = 1 before ``t_jump`` and ``value`` after: no quadrature panel
+    that straddles the jump converges."""
 
-    def test_zero_state(self, gauss32):
-        prob, dec = gauss32
-        s = default_schedule()
-        w = regularized_normal_solve(dec, s.eval(1.0), prob.f_exact)
-        assert np.allclose(rhs(dec, s, prob.f_exact, 1.0, np.zeros(32)), w)
+    def __init__(self, value, t_jump):
+        super().__init__(value)
+        self.t_jump = t_jump
 
-    def test_matches_hand_assembly(self, rng):
-        M = rng.standard_normal((6, 6))
-        A = DenseOperator(M)
-        dec = decompose(A)
-        f = rng.standard_normal(6)
-        u = rng.standard_normal(6)
-        s = default_schedule()
-        t = 3.7
-        eps = s.eval(t)
-        expected = np.linalg.solve(M.T @ M + eps * np.eye(6), M.T @ f) - u
-        assert np.linalg.norm(rhs(dec, s, f, t, u) - expected) <= 1e-12
-
-    def test_negative_time_rejected(self, gauss32):
-        prob, dec = gauss32
-        with pytest.raises(PreconditionError):
-            rhs(dec, default_schedule(), prob.f_exact, -1.0, np.zeros(32))
+    def eval(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.where(t < self.t_jump, 1.0, self.value)
+        return float(out) if out.ndim == 0 else out
 
 
 @pytest.mark.parametrize("integrator", ["exponential_quadrature", "adaptive_runge_kutta"])
@@ -83,6 +68,22 @@ class TestEvolveClosedForms:
         drift = np.max([np.linalg.norm(state - w) for state in traj.states])
         assert drift <= 1e-7
 
+    def test_random_state_matches_hand_assembly(self, rng, integrator):
+        # rank 4 of 6: the start state's part outside span(V_r) decays as e^{-t}
+        M = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 6))
+        dec = decompose(DenseOperator(M))
+        f = rng.standard_normal(6)
+        u0 = rng.standard_normal(6)
+        eps = 0.3
+        w = np.linalg.solve(M.T @ M + eps * np.eye(6), M.T @ f)
+        cfg = DSMConfig(integrator=integrator, relative_tolerance=1e-10,
+                        absolute_tolerance=1e-13, initial_state=u0)
+        traj = evolve(dec, ConstantSchedule(eps), f, 3.0, cfg)
+        assert np.array_equal(traj.states[0], u0)
+        for t, state in zip(traj.times, traj.states):
+            exact = np.exp(-t) * u0 + (1.0 - np.exp(-t)) * w
+            assert np.linalg.norm(state - exact) <= 1e-8
+
     def test_trajectory_starts_at_initial_state(self, gauss32, integrator):
         prob, dec = gauss32
         cfg = DSMConfig(integrator=integrator)
@@ -100,6 +101,24 @@ def test_integrators_cross_validate(gauss32):
     u_exp = evolve(dec, s, f, 50.0, DSMConfig(integrator="exponential_quadrature")).states[-1]
     u_rk = evolve(dec, s, f, 50.0, DSMConfig(integrator="adaptive_runge_kutta")).states[-1]
     assert np.linalg.norm(u_exp - u_rk) <= 1e-6 * np.linalg.norm(u_exp)
+
+
+def test_profile_and_data_vector_give_the_same_path(gauss32):
+    prob, dec = gauss32
+    f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
+    s = default_schedule()
+    from_data = evolve(dec, s, f, 30.0)
+    from_profile = evolve(dec, s, build_profile(dec, f), 30.0)
+    assert np.array_equal(from_data.states, from_profile.states)
+    assert np.array_equal(from_data.residual_norms, from_profile.residual_norms)
+
+
+def test_spectral_residuals_match_direct_product(gauss32):
+    prob, dec = gauss32
+    f = add_noise(prob.f_exact, dec, NoiseSpec(1e-3, 5))
+    traj = evolve(dec, default_schedule(), f, 1e4)
+    direct = np.linalg.norm(traj.states @ prob.operator.entries.T - f, axis=1)
+    assert np.max(np.abs(traj.residual_norms - direct)) <= 1e-12 * np.linalg.norm(f)
 
 
 def test_integrators_cross_validate_hilbert(hilbert8):
@@ -140,6 +159,29 @@ class TestEvolveErrors:
             evolve(dec, default_schedule(), prob.f_exact, 50.0, cfg)
         assert info.value.trajectory is not None
 
+    def test_panel_depth_cap_raises_with_partial_trajectory(self):
+        prob = identity_problem(3)
+        dec = decompose(prob.operator)
+        cfg = DSMConfig(relative_tolerance=1e-12, trajectory_points=3)
+        with pytest.raises(NumericalError, match="not converged") as info:
+            evolve(dec, JumpSchedule(1e-3, 0.3), prob.f_exact, 1.0, cfg)
+        assert info.value.stage == "integration"
+        partial = info.value.trajectory
+        assert partial.times[0] == 0.0
+        assert partial.times[-1] < 1.0
+
+    def test_rk_fails_fast_when_the_step_cap_cannot_reach_t_end(self):
+        prob = gaussian_blur_problem(64, 0.05)
+        dec = decompose(prob.operator)
+        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-4, 7))
+        cfg = DSMConfig(integrator="adaptive_runge_kutta")
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="needs at least") as info:
+            run_dsm(dec, default_schedule(), f, 1e-4, cfg=cfg)
+        assert time.perf_counter() - start < 2.0
+        assert info.value.stage == "integration"
+        assert len(info.value.trajectory) == 1
+
     def test_nonpositive_horizon(self, gauss32):
         prob, dec = gauss32
         with pytest.raises(PreconditionError):
@@ -165,6 +207,17 @@ class TestRunDSM:
         res = run_dsm(dec, default_schedule(), f, 1e-2)
         recomputed = np.linalg.norm(dec.apply(res.u_final) - f)
         assert abs(recomputed - res.residual) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_direct_residual_of_w_final_hits_target(self, n):
+        # the root must not be biased by cancellation noise in the null mass
+        prob = gaussian_blur_problem(n, 0.05)
+        dec = decompose(prob.operator)
+        delta = 1e-6
+        f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7))
+        res = run_dsm(dec, default_schedule(), f, delta, store_trajectory=False)
+        direct = np.linalg.norm(prob.operator.entries @ res.w_final - f)
+        assert abs(direct / delta - 1.0) <= 1e-6
 
     def test_residual_envelope(self, hilbert8):
         prob, dec = hilbert8

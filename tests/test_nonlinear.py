@@ -4,7 +4,7 @@ import pytest
 from illposed import (MonotoneOperator, PreconditionError,
                       SeparableMonotoneOperator, check_monotonicity,
                       cubic_separable_problem, functional_F, near_minimize,
-                      nonlinear_discrepancy, nonlinear_discrepancy_result)
+                      nonlinear_discrepancy_result)
 
 
 def scan_minimize(phi, g, eps, radius, points=1_000_000):
@@ -124,7 +124,7 @@ class TestDiscrepancy:
         f = np.array([0.6, 0.48, 0.36, 0.52])
         f /= np.linalg.norm(f)
         delta, C = 0.05, 1.1
-        eps, _ = nonlinear_discrepancy(op, f, delta, C)
+        eps = nonlinear_discrepancy_result(op, f, delta, C).epsilon_delta
         exact = C * delta / (1.0 - C * delta)
         assert abs(eps - exact) <= 1e-2 * exact
 
@@ -147,7 +147,7 @@ class TestDiscrepancy:
             rng = np.random.default_rng(70 + k)
             e = rng.standard_normal(8)
             f = f_exact + (delta / np.linalg.norm(e)) * e
-            _, u = nonlinear_discrepancy(op, f, delta, C)
+            u = nonlinear_discrepancy_result(op, f, delta, C).u_delta
             errors.append(np.linalg.norm(u - y))
         assert errors[-1] < errors[0] / 10.0
 
@@ -157,7 +157,7 @@ class TestDiscrepancy:
         delta = 1e-3
         e = rng.standard_normal(8)
         f = f_exact + (delta / np.linalg.norm(e)) * e
-        _, u = nonlinear_discrepancy(op, f, delta, 1.1)
+        u = nonlinear_discrepancy_result(op, f, delta, 1.1).u_delta
         assert np.linalg.norm(u) <= np.linalg.norm(y) * (1.0 + 1e-8)
 
     def test_large_eps_limit(self):
@@ -187,13 +187,13 @@ class TestDiscrepancy:
     def test_c_must_exceed_one(self):
         op, f, _ = cubic_op(3)
         with pytest.raises(PreconditionError):
-            nonlinear_discrepancy(op, f, 1e-2, 1.0)
+            nonlinear_discrepancy_result(op, f, 1e-2, 1.0)
 
     def test_zero_residual_precondition(self):
         op, _, _ = cubic_op(3)
         f = op(np.zeros(3))  # ||A(0) - f|| = 0
         with pytest.raises(PreconditionError):
-            nonlinear_discrepancy(op, f, 1e-2, 1.1)
+            nonlinear_discrepancy_result(op, f, 1e-2, 1.1)
 
     def test_trace_attached_to_result(self):
         op, f_exact, _ = cubic_op(4)
