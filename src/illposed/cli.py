@@ -299,9 +299,8 @@ def cmd_nonlinear(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
     rows = []
     for k, delta in enumerate(cfg.delta_sequence):
         try:
-            rng = np.random.default_rng(cfg.seed + k)
-            e = rng.standard_normal(op.dimension)
-            f_delta = f_exact + (delta / np.linalg.norm(e)) * e if cfg.noise else f_exact
+            noise = NoiseSpec(delta, cfg.seed + k, in_range_closure=False)
+            f_delta = add_noise(f_exact, None, noise) if cfg.noise else f_exact
             res = nonlinear_discrepancy_result(op, f_delta, delta, cfg.C)
         except IllposedError as exc:
             rows.append([_fmt(delta), "", "", "", "", str(exc)])

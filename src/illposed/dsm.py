@@ -13,7 +13,7 @@ integrator that evaluates the variation-of-constants form
 
     z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau
 
-gap by gap with adaptive Gauss-Legendre panels, and an embedded
+gap by gap with Gauss-Legendre panels refined in array rounds, and an embedded
 Dormand-Prince 5(4) pair with step-size control, the cross-check oracle.
 The exponential route works in shifted exponents per gap, so stopping
 times far beyond the underflow horizon of e^{-t} are handled exactly.
@@ -206,21 +206,6 @@ def _report_grid(t_end: float, points: int) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], interior]))
 
 
-class _StepBudget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise _BudgetExceeded()
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
             times, zs) -> Trajectory:
     """States u = V_r z + e^{-t} (u0 - V_r V_r^T u0) at ``times``, with the
@@ -238,66 +223,71 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
 
 def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
     """Append z at each report time after the first to ``zs``."""
-    sg_col, lam_col = sg[:, None], lam[:, None]
-
-    def w(eps: np.ndarray) -> np.ndarray:
-        # equilibria in z-coordinates as columns, one per eps
-        return sg_col / (lam_col + eps[None, :])
-
-    budget = _StepBudget(cfg.max_steps)
+    budget = cfg.max_steps
     z = zs[0]
-    try:
-        for a, b in zip(times[:-1], times[1:]):
-            gap = b - a
-            window = min(gap, _WINDOW)
-            scale = float(np.linalg.norm(sg / (lam + schedule.eval(b))))
-            tol = max(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
-            z = math.exp(-gap) * z + _gap_integral(w, schedule, b, window, tol, budget)
-            if not np.all(np.isfinite(z)):
-                raise NumericalError("integration diverged")
-            zs.append(z)
-    except _BudgetExceeded:
-        raise NumericalError(
-            f"max_steps = {cfg.max_steps} exceeded at t = {times[len(zs) - 1]}") from None
+    for a, b in zip(times[:-1], times[1:]):
+        gap = b - a
+        window = min(gap, _WINDOW)
+        scale = float(np.linalg.norm(sg / (lam + schedule.eval(b))))
+        tol = max(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
+        integral, panels = _gap_integral(schedule, sg, lam, b, window, tol, budget)
+        budget -= panels
+        if budget < 0:
+            raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {a}")
+        z = math.exp(-gap) * z + integral
+        if not np.all(np.isfinite(z)):
+            raise NumericalError("integration diverged")
+        zs.append(z)
 
 
-def _gap_integral(w, schedule, t_right: float, window: float, tol: float,
-                  budget: _StepBudget) -> np.ndarray:
-    """integral_0^window e^{-tau} w(t_right - tau) dtau, adaptively."""
+def _gap_integral(schedule, sg, lam, t_right: float, window: float, tol: float,
+                  budget: int) -> tuple[np.ndarray | None, int]:
+    """integral_0^window e^{-tau} w(t_right - tau) dtau, w = sg / (lam + eps),
+    by 7-node Gauss-Legendre panels, and the panel evaluations spent.
+
+    Each round evaluates both halves of every open panel in one array call
+    (round 0 also the whole panel); a panel whose halves miss the whole by
+    more than tol * width / window is split into the next round's panels.
+    A round that would overspend ``budget`` is not evaluated: the result
+    is then None with a count above ``budget``.
+    """
     n_panels = max(1, int(math.ceil(window / _MAX_PANEL_WIDTH)))
     edges = np.linspace(0.0, window, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        coarse = _gl_panel(w, schedule, t_right, lo, hi, budget)
-        total = total + _refine_panel(w, schedule, t_right, lo, hi, coarse,
-                                      tol * (hi - lo) / window, 0, budget)
-    return total
-
-
-def _refine_panel(w, schedule, t_right, lo, hi, coarse, tol, depth, budget):
-    mid = 0.5 * (lo + hi)
-    left = _gl_panel(w, schedule, t_right, lo, mid, budget)
-    right = _gl_panel(w, schedule, t_right, mid, hi, budget)
-    fine = left + right
-    err = float(np.linalg.norm(fine - coarse))
-    if err <= tol:
-        return fine
-    if depth >= _MAX_PANEL_DEPTH:
-        raise NumericalError(
-            f"quadrature panel [{t_right - hi}, {t_right - lo}] not converged after "
-            f"{_MAX_PANEL_DEPTH} bisections: error {err:.3e} > tolerance {tol:.3e}")
-    return (_refine_panel(w, schedule, t_right, lo, mid, left, tol / 2, depth + 1, budget)
-            + _refine_panel(w, schedule, t_right, mid, hi, right, tol / 2, depth + 1, budget))
-
-
-def _gl_panel(w, schedule, t_right, lo, hi, budget) -> np.ndarray:
-    budget.charge()
-    width = hi - lo
-    tau = lo + width * _GL_NODES
-    s = np.maximum(t_right - tau, 0.0)
-    eps = np.asarray(schedule.eval(s), dtype=float)
-    weights = _GL_WEIGHTS * width * np.exp(-tau)
-    return w(eps) @ weights
+    lo, hi = edges[:-1], edges[1:]
+    tols = tol * (hi - lo) / window
+    coarse = None
+    total = np.zeros_like(sg)
+    used = 0
+    for depth in range(_MAX_PANEL_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        a = np.concatenate([lo, mid] + ([lo] if coarse is None else []))
+        b = np.concatenate([mid, hi] + ([hi] if coarse is None else []))
+        used += a.size
+        if used > budget:
+            return None, used
+        width = (b - a)[:, None]
+        tau = a[:, None] + width * _GL_NODES
+        eps = np.asarray(schedule.eval(np.maximum(t_right - tau, 0.0)), dtype=float)
+        # r x panels: each panel's weighted sum of the z-equilibria at its nodes
+        values = np.einsum("ipk,pk->ip", sg[:, None, None] / (lam[:, None, None] + eps),
+                           _GL_WEIGHTS * width * np.exp(-tau))
+        left, right, whole = np.split(values, [lo.size, 2 * lo.size], axis=1)
+        coarse = whole if coarse is None else coarse
+        fine = left + right
+        err = np.linalg.norm(fine - coarse, axis=0)
+        split = err > tols
+        total += fine[:, ~split].sum(axis=1)
+        if not split.any():
+            return total, used
+        if depth == _MAX_PANEL_DEPTH:
+            i = int(np.argmax(split))
+            raise NumericalError(
+                f"quadrature panel [{t_right - hi[i]}, {t_right - lo[i]}] not converged after "
+                f"{_MAX_PANEL_DEPTH} bisections: error {err[i]:.3e} > tolerance {tols[i]:.3e}")
+        lo = np.concatenate([lo[split], mid[split]])
+        hi = np.concatenate([mid[split], hi[split]])
+        coarse = np.concatenate([left[:, split], right[:, split]], axis=1)
+        tols = np.tile(tols[split] / 2, 2)
 
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution propagates and the

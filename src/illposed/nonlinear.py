@@ -279,7 +279,8 @@ def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
     bracket where the residual crosses the target; bisection on log(eps)
     refines it to 1e-10 relative width.  Near-minimizers are cached per
     eps, and the bracket's upper end is returned so the residual sits at
-    or marginally above the target.
+    or marginally above the target; a bracket that collapses more than
+    1e-9 ||f_delta|| off target raises NumericalError.
     """
     if not C > 1.0:
         raise PreconditionError(f"C must exceed 1 for the nonlinear principle, got {C}")
@@ -324,10 +325,10 @@ def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
             "discrepancy equation has no root in scan range",
             trace=tuple(trace))
 
-    fnorm = float(np.linalg.norm(f))
+    resid_tol = 1e-9 * float(np.linalg.norm(f))
     for _ in range(250):
         width_ok = hi - lo <= 1e-10 * hi
-        resid_ok = abs(h(hi) - target) <= 1e-9 * fnorm
+        resid_ok = abs(h(hi) - target) <= resid_tol
         if width_ok and resid_ok:
             break
         mid = math.sqrt(lo * hi)
@@ -339,7 +340,12 @@ def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
             hi = mid
 
     nm = cache[hi]
-    return NonlinearStopping(epsilon_delta=hi, u_delta=nm.u, residual=h(hi),
+    residual = h(hi)
+    if abs(residual - target) > resid_tol:
+        raise NumericalError(
+            f"bisection bracket collapsed at eps = {hi:.6e} with the residual "
+            f"{abs(residual - target):.3e} off C*delta", trace=tuple(trace), best=nm)
+    return NonlinearStopping(epsilon_delta=hi, u_delta=nm.u, residual=residual,
                              gap_certificate=nm.gap_certificate,
                              certified=nm.certified, F_value=nm.F_value,
                              trace=tuple(trace))

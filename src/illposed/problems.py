@@ -146,13 +146,14 @@ def cubic_separable_problem(n: int, coefficients, y) -> tuple[SeparableMonotoneO
     return op, op(yv)
 
 
-def add_noise(f_exact, dec: SpectralDecomposition, spec: NoiseSpec) -> np.ndarray:
+def add_noise(f_exact, dec: SpectralDecomposition | None,
+              spec: NoiseSpec) -> np.ndarray:
     """Perturb exact data by a seeded direction of exact magnitude delta.
 
     With ``in_range_closure`` the direction is first projected onto the
-    retained range, so data orthogonal to N(A^T) stays orthogonal.  A
-    degenerate projected draw triggers a redraw with seed+1, at most 8
-    retries.
+    retained range of ``dec`` (otherwise ``dec`` is unread and may be None),
+    so data orthogonal to N(A^T) stays orthogonal.  A degenerate projected
+    draw triggers a redraw with seed+1, at most 8 retries.
     """
     f = as_vector(f_exact, "exact data")
     if spec.delta >= np.linalg.norm(f):

@@ -1,13 +1,16 @@
+import math
 import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from illposed import (ConfigError, DSMConfig, DenseOperator, NoiseSpec,
-                      NumericalError, PreconditionError, Schedule, add_noise,
-                      build_profile, decompose, default_schedule, evolve,
-                      gaussian_blur_problem, identity_problem,
-                      regularized_normal_solve, run_dsm)
+                      NumericalError, PowerLawSchedule, PreconditionError,
+                      Schedule, add_noise, build_profile, decompose,
+                      default_schedule, evolve, gaussian_blur_problem,
+                      identity_problem, regularized_normal_solve, run_dsm)
+from illposed.dsm import _MAX_PANEL_WIDTH, _gap_integral
 
 
 class ConstantSchedule(Schedule):
@@ -139,6 +142,73 @@ def test_integrators_cross_validate_rank_deficient():
     u_exp = evolve(dec, s, f, 25.0, DSMConfig(integrator="exponential_quadrature")).states[-1]
     u_rk = evolve(dec, s, f, 25.0, DSMConfig(integrator="adaptive_runge_kutta")).states[-1]
     assert np.linalg.norm(u_exp - u_rk) <= 1e-6 * np.linalg.norm(u_exp)
+
+
+def _recursive_gap_integral(schedule, sg, lam, t_right, window, tol):
+    """Reference for ``_gap_integral``: the depth-first refiner it replaced.
+    Each 7-node panel is compared with its two halves and split until they
+    agree; returns the integral and the number of panels evaluated."""
+    x, wts = np.polynomial.legendre.leggauss(7)
+    used = 0
+
+    def panel(lo, hi):
+        nonlocal used
+        used += 1
+        tau = lo + (hi - lo) * (x + 1.0) / 2.0
+        eps = schedule.eval(np.maximum(t_right - tau, 0.0))
+        return (sg[:, None] / (lam[:, None] + eps)) @ (wts / 2.0 * (hi - lo) * np.exp(-tau))
+
+    def refine(lo, hi, coarse, tol):
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        if np.linalg.norm(left + right - coarse) <= tol:
+            return left + right
+        return refine(lo, mid, left, tol / 2) + refine(mid, hi, right, tol / 2)
+
+    edges = np.linspace(0.0, window, max(1, math.ceil(window / _MAX_PANEL_WIDTH)) + 1)
+    total = sum(refine(lo, hi, panel(lo, hi), tol * (hi - lo) / window)
+                for lo, hi in zip(edges[:-1], edges[1:]))
+    return total, used
+
+
+@pytest.mark.parametrize("schedule, t_right, window, rel_tol, deep", [
+    (default_schedule(), 1e4, 60.0, 1e-8, False),
+    # eps falls steeply near t = 0: panels there split several times
+    (PowerLawSchedule(1e-3, 1e-3, 0.9), 3.0, 3.0, 1e-12, True),
+])
+def test_gap_integral_matches_recursive_reference(gauss32, schedule, t_right,
+                                                  window, rel_tol, deep):
+    prob, dec = gauss32
+    p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
+    sg = dec.singular_values[:dec.numerical_rank] * p.coefficients
+    tol = rel_tol * np.linalg.norm(sg / (p.lambdas + schedule.eval(t_right)))
+    expected, expected_panels = _recursive_gap_integral(
+        schedule, sg, p.lambdas, t_right, window, tol)
+    value, panels = _gap_integral(schedule, sg, p.lambdas, t_right, window, tol, 10 ** 6)
+    assert panels == expected_panels
+    assert np.linalg.norm(value - expected) <= 1e-14 * np.linalg.norm(expected)
+    # 3 evaluations per top-level panel, 4 more if it is split once
+    first_split_only = 7 * math.ceil(window / _MAX_PANEL_WIDTH)
+    assert (panels > first_split_only) == deep
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_final_state_matches_per_mode_quadrature_at_the_stopping_time(delta):
+    # t_delta is 3.2e5, 2.9e9 and 2.6e13; z(t) = int_0^t e^{-tau} w(t - tau)
+    # dtau, whose part beyond tau = 60 is below 1e-26 relative
+    prob = gaussian_blur_problem(64, 0.05)
+    dec = decompose(prob.operator)
+    f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7))
+    s = default_schedule()
+    res = run_dsm(dec, s, f, delta, store_trajectory=False)
+    t = res.stopping.t_delta
+    r = dec.numerical_rank
+    p = build_profile(dec, f)
+    z = [quad(lambda tau, sg=sg, lam=lam: math.exp(-tau) * sg / (lam + s.eval(t - tau)),
+              0.0, 60.0, epsabs=0.0, epsrel=1e-13)[0]
+         for sg, lam in zip(dec.singular_values[:r] * p.coefficients, p.lambdas)]
+    u = dec.right_vectors[:, :r] @ np.array(z)
+    assert np.linalg.norm(res.u_final - u) <= 1e-10 * np.linalg.norm(u)
 
 
 class TestEvolveErrors:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from illposed import (MonotoneOperator, PreconditionError,
-                      SeparableMonotoneOperator, check_monotonicity,
+from illposed import (MonotoneOperator, NearMinimizer, NoiseSpec,
+                      NumericalError, PreconditionError,
+                      SeparableMonotoneOperator, add_noise, check_monotonicity,
                       cubic_separable_problem, functional_F, near_minimize,
                       nonlinear_discrepancy_result)
 
@@ -201,6 +202,16 @@ class TestDiscrepancy:
         assert len(res.trace) > 4
         epses = [t[0] for t in res.trace]
         assert epses[0] == pytest.approx(1e-14)
+
+    def test_collapsed_bracket_off_target_raises(self):
+        # this draw collapses the bisection bracket with the residual 5.8e-8
+        # off C*delta, above the loop's own 1e-9 ||f_delta|| stopping test
+        op, f_exact, _ = cubic_op(8)
+        f = add_noise(f_exact, None, NoiseSpec(1e-4, 1269187315, in_range_closure=False))
+        with pytest.raises(NumericalError, match="bracket collapsed") as info:
+            nonlinear_discrepancy_result(op, f, 1e-4, 1.1)
+        assert len(info.value.trace) == 87
+        assert isinstance(info.value.best, NearMinimizer)
 
 
 class TestMonotonicity:
