@@ -40,6 +40,10 @@ INTEGRATORS = ("exponential_quadrature", "adaptive_runge_kutta")
 _WINDOW = 60.0
 _MAX_PANEL_WIDTH = 2.0
 _MAX_PANEL_DEPTH = 30
+# Open panels refined per round.  Split halves are refined first, so the open
+# list grows by at most this many a round, and a tolerance below rounding
+# hits the depth cap in about _MAX_PANEL_DEPTH rounds.
+_ROUND_PANELS = 256
 _RK_MAX_STEP = 3.0
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
@@ -226,68 +230,67 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
     budget = cfg.max_steps
     z = zs[0]
     for a, b in zip(times[:-1], times[1:]):
-        gap = b - a
-        window = min(gap, _WINDOW)
-        scale = float(np.linalg.norm(sg / (lam + schedule.eval(b))))
-        tol = max(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
-        integral, panels = _gap_integral(schedule, sg, lam, b, window, tol, budget)
+        integral, panels = _gap_integral(schedule, sg, lam, a, b, cfg, budget)
         budget -= panels
-        if budget < 0:
-            raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {a}")
-        z = math.exp(-gap) * z + integral
+        z = math.exp(-(b - a)) * z + integral
         if not np.all(np.isfinite(z)):
             raise NumericalError("integration diverged")
         zs.append(z)
 
 
-def _gap_integral(schedule, sg, lam, t_right: float, window: float, tol: float,
-                  budget: int) -> tuple[np.ndarray | None, int]:
-    """integral_0^window e^{-tau} w(t_right - tau) dtau, w = sg / (lam + eps),
-    by 7-node Gauss-Legendre panels, and the panel evaluations spent.
+def _gap_integral(schedule, sg, lam, a: float, b: float, cfg: DSMConfig,
+                  budget: int) -> tuple[np.ndarray, int]:
+    """integral_0^window e^{-tau} w(b - tau) dtau with w = sg / (lam + eps)
+    and window = min(b - a, _WINDOW), by 7-node Gauss-Legendre panels, and
+    the panel evaluations spent, at most ``budget``.
 
-    Each round evaluates both halves of every open panel in one array call
-    (round 0 also the whole panel); a panel whose halves miss the whole by
-    more than tol * width / window is split into the next round's panels.
-    A round that would overspend ``budget`` is not evaluated: the result
-    is then None with a count above ``budget``.
+    Round 0 evaluates every top-level panel and its two halves in one array
+    call, each later round the halves of the first _ROUND_PANELS open
+    panels.  A panel whose halves miss the whole by more than its share
+    tol * width / window is split, and its halves go to the front.
     """
+    window = min(b - a, _WINDOW)
+    scale = float(np.linalg.norm(sg / (lam + schedule.eval(b))))
+    tol = max(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
     n_panels = max(1, int(math.ceil(window / _MAX_PANEL_WIDTH)))
     edges = np.linspace(0.0, window, n_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    tols = tol * (hi - lo) / window
-    coarse = None
+    # open panels, columns of lo, hi, tolerance share, depth
+    open_ = np.array([edges[:-1], edges[1:], tol * np.diff(edges) / window,
+                      np.zeros(n_panels)])
+    coarse = None  # the open panels' values, r x panels
     total = np.zeros_like(sg)
     used = 0
-    for depth in range(_MAX_PANEL_DEPTH + 1):
+    while open_.shape[1]:
+        k = n_panels if coarse is None else min(open_.shape[1], _ROUND_PANELS)
+        lo, hi, tols, depth = open_[:, :k]
         mid = 0.5 * (lo + hi)
-        a = np.concatenate([lo, mid] + ([lo] if coarse is None else []))
-        b = np.concatenate([mid, hi] + ([hi] if coarse is None else []))
-        used += a.size
+        x0 = np.concatenate([lo, mid] + ([lo] if coarse is None else []))
+        x1 = np.concatenate([mid, hi] + ([hi] if coarse is None else []))
+        used += x0.size
         if used > budget:
-            return None, used
-        width = (b - a)[:, None]
-        tau = a[:, None] + width * _GL_NODES
-        eps = np.asarray(schedule.eval(np.maximum(t_right - tau, 0.0)), dtype=float)
+            raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {a}")
+        width = (x1 - x0)[:, None]
+        tau = x0[:, None] + width * _GL_NODES
+        eps = np.asarray(schedule.eval(np.maximum(b - tau, 0.0)), dtype=float)
         # r x panels: each panel's weighted sum of the z-equilibria at its nodes
         values = np.einsum("ipk,pk->ip", sg[:, None, None] / (lam[:, None, None] + eps),
                            _GL_WEIGHTS * width * np.exp(-tau))
-        left, right, whole = np.split(values, [lo.size, 2 * lo.size], axis=1)
+        left, right, whole = np.split(values, [k, 2 * k], axis=1)
         coarse = whole if coarse is None else coarse
         fine = left + right
-        err = np.linalg.norm(fine - coarse, axis=0)
+        err = np.linalg.norm(fine - coarse[:, :k], axis=0)
         split = err > tols
         total += fine[:, ~split].sum(axis=1)
-        if not split.any():
-            return total, used
-        if depth == _MAX_PANEL_DEPTH:
-            i = int(np.argmax(split))
+        stuck = split & (depth == _MAX_PANEL_DEPTH)
+        if stuck.any():
+            i = int(np.argmax(stuck))
             raise NumericalError(
-                f"quadrature panel [{t_right - hi[i]}, {t_right - lo[i]}] not converged after "
+                f"quadrature panel [{b - hi[i]}, {b - lo[i]}] not converged after "
                 f"{_MAX_PANEL_DEPTH} bisections: error {err[i]:.3e} > tolerance {tols[i]:.3e}")
-        lo = np.concatenate([lo[split], mid[split]])
-        hi = np.concatenate([mid[split], hi[split]])
-        coarse = np.concatenate([left[:, split], right[:, split]], axis=1)
-        tols = np.tile(tols[split] / 2, 2)
+        halves = np.array([[lo, mid], [mid, hi], [tols / 2] * 2, [depth + 1] * 2])
+        open_ = np.concatenate([halves[:, :, split].reshape(4, -1), open_[:, k:]], axis=1)
+        coarse = np.concatenate([left[:, split], right[:, split], coarse[:, k:]], axis=1)
+    return total, used
 
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution propagates and the

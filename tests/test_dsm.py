@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from illposed import (ConfigError, DSMConfig, DenseOperator, NoiseSpec,
                       Schedule, add_noise, build_profile, decompose,
                       default_schedule, evolve, gaussian_blur_problem,
                       identity_problem, regularized_normal_solve, run_dsm)
+from illposed import dsm
 from illposed.dsm import _MAX_PANEL_WIDTH, _gap_integral
 
 
@@ -171,20 +173,24 @@ def _recursive_gap_integral(schedule, sg, lam, t_right, window, tol):
     return total, used
 
 
-@pytest.mark.parametrize("schedule, t_right, window, rel_tol, deep", [
-    (default_schedule(), 1e4, 60.0, 1e-8, False),
+@pytest.mark.parametrize("schedule, a, b, rel_tol, deep", [
+    (default_schedule(), 0.0, 1e4, 1e-8, False),
     # eps falls steeply near t = 0: panels there split several times
-    (PowerLawSchedule(1e-3, 1e-3, 0.9), 3.0, 3.0, 1e-12, True),
+    (PowerLawSchedule(1e-3, 1e-3, 0.9), 0.0, 3.0, 1e-12, True),
 ])
-def test_gap_integral_matches_recursive_reference(gauss32, schedule, t_right,
-                                                  window, rel_tol, deep):
+@pytest.mark.parametrize("round_panels", [None, 1])
+def test_gap_integral_matches_recursive_reference(gauss32, monkeypatch, schedule, a, b,
+                                                  rel_tol, deep, round_panels):
+    if round_panels:  # rounds shorter than the open list: panels wait for later rounds
+        monkeypatch.setattr(dsm, "_ROUND_PANELS", round_panels)
     prob, dec = gauss32
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
     sg = dec.singular_values[:dec.numerical_rank] * p.coefficients
-    tol = rel_tol * np.linalg.norm(sg / (p.lambdas + schedule.eval(t_right)))
-    expected, expected_panels = _recursive_gap_integral(
-        schedule, sg, p.lambdas, t_right, window, tol)
-    value, panels = _gap_integral(schedule, sg, p.lambdas, t_right, window, tol, 10 ** 6)
+    window = min(b - a, 60.0)
+    tol = rel_tol * np.linalg.norm(sg / (p.lambdas + schedule.eval(b)))
+    expected, expected_panels = _recursive_gap_integral(schedule, sg, p.lambdas, b, window, tol)
+    cfg = DSMConfig(relative_tolerance=rel_tol, absolute_tolerance=1e-300)
+    value, panels = _gap_integral(schedule, sg, p.lambdas, a, b, cfg, 10 ** 6)
     assert panels == expected_panels
     assert np.linalg.norm(value - expected) <= 1e-14 * np.linalg.norm(expected)
     # 3 evaluations per top-level panel, 4 more if it is split once
@@ -239,6 +245,23 @@ class TestEvolveErrors:
         partial = info.value.trajectory
         assert partial.times[0] == 0.0
         assert partial.times[-1] < 1.0
+
+    def test_unreachable_panel_tolerance_fails_fast_in_bounded_memory(self, gauss32):
+        # a tolerance below rounding: no panel converges, so refinement must
+        # stop at the depth cap long before the default max_steps = 1e6
+        prob, dec = gauss32
+        cfg = DSMConfig(relative_tolerance=1e-20, absolute_tolerance=1e-300)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(NumericalError, match="not converged after 30 bisections"):
+                evolve(dec, default_schedule(), prob.f_exact, 50.0, cfg)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0
+        assert peak < 100 * 2 ** 20
 
     def test_rk_fails_fast_when_the_step_cap_cannot_reach_t_end(self):
         prob = gaussian_blur_problem(64, 0.05)
