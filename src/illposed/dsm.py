@@ -13,9 +13,11 @@ integrator that evaluates the variation-of-constants form
 
     z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau
 
-gap by gap with Gauss-Legendre panels refined in array rounds, and an embedded
+with Gauss-Legendre panels refined in array rounds, and an embedded
 Dormand-Prince 5(4) pair with step-size control, the cross-check oracle.
-The exponential route works in shifted exponents per gap, so stopping
+The gap integrals do not depend on z, so the exponential route integrates
+consecutive gaps in groups, a few array rounds per group, and then chains
+z across the group.  It works in shifted exponents per gap, so stopping
 times far beyond the underflow horizon of e^{-t} are handled exactly.
 """
 
@@ -110,12 +112,12 @@ class Trajectory:
         if include_state:
             header.extend(f"state_{i}" for i in range(self.states.shape[1]))
         rows = []
-        for i, t in enumerate(self.times):
-            row = [repr(float(t)), repr(float(self.residual_norms[i]))]
+        for i, (t, res) in enumerate(zip(self.times.tolist(), self.residual_norms.tolist())):
+            row = [repr(t), repr(res)]
             if y is not None:
                 row.append(repr(float(np.linalg.norm(self.states[i] - y))))
-            if include_state:
-                row.extend(repr(float(x)) for x in self.states[i])
+            if include_state:  # a row at a time: the whole matrix as floats is MBs
+                row.extend(map(repr, self.states[i].tolist()))
             rows.append(row)
         return header, rows
 
@@ -226,71 +228,124 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
 
 
 def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
-    """Append z at each report time after the first to ``zs``."""
+    """Append z at each report time after the first to ``zs``.
+
+    A gap's integral does not depend on the state, so consecutive gaps are
+    integrated together in groups, and z is then chained across the group.
+    A group closes before its round 0 (three evaluations per top-level
+    panel) would pass 2 * _ROUND_PANELS, the size of a later round.
+    """
+    a, b = times[:-1], times[1:]
+    round0 = 3 * _top_panels(np.minimum(b - a, _WINDOW))
     budget = cfg.max_steps
     z = zs[0]
-    for a, b in zip(times[:-1], times[1:]):
-        integral, panels = _gap_integral(schedule, sg, lam, a, b, cfg, budget)
-        budget -= panels
-        z = math.exp(-(b - a)) * z + integral
-        if not np.all(np.isfinite(z)):
-            raise NumericalError("integration diverged")
-        zs.append(z)
+    start = 0
+    while start < a.size:
+        stop = start + max(1, int(np.searchsorted(
+            np.cumsum(round0[start:]), 2 * _ROUND_PANELS, side="right")))
+        integrals, panels, failure = _gap_integrals(
+            schedule, sg, lam, a[start:stop], b[start:stop], cfg, budget)
+        budget -= int(panels.sum())
+        done = stop - start if failure is None else failure[0]
+        for j in range(done):
+            z = math.exp(-(b[start + j] - a[start + j])) * z + integrals[:, j]
+            if not np.all(np.isfinite(z)):
+                raise NumericalError("integration diverged")
+            zs.append(z)
+        if failure is not None:
+            raise NumericalError(failure[1])
+        start = stop
 
 
-def _gap_integral(schedule, sg, lam, a: float, b: float, cfg: DSMConfig,
-                  budget: int) -> tuple[np.ndarray, int]:
-    """integral_0^window e^{-tau} w(b - tau) dtau with w = sg / (lam + eps)
-    and window = min(b - a, _WINDOW), by 7-node Gauss-Legendre panels, and
-    the panel evaluations spent, at most ``budget``.
+def _top_panels(window: np.ndarray) -> np.ndarray:
+    return np.maximum(1, np.ceil(window / _MAX_PANEL_WIDTH)).astype(int)
+
+
+def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, cfg: DSMConfig,
+                   budget: int) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """integral_0^window e^{-tau} w(b - tau) dtau for each gap [a, b], with
+    w = sg / (lam + eps) and window = min(b - a, _WINDOW), by 7-node
+    Gauss-Legendre panels.
+
+    Returns the integrals as the columns of an r x gaps array, the panel
+    evaluations spent on each gap (at most ``budget`` in all), and ``None``
+    or the failure: the index of the earliest gap that could not be
+    integrated, and the message.  The gaps before it are complete.
 
     Round 0 evaluates every top-level panel and its two halves in one array
     call, each later round the halves of the first _ROUND_PANELS open
     panels.  A panel whose halves miss the whole by more than its share
-    tol * width / window is split, and its halves go to the front.
+    tol * width / window of its gap's tolerance is split, and its halves go
+    to the front.
     """
-    window = min(b - a, _WINDOW)
-    scale = float(np.linalg.norm(sg / (lam + schedule.eval(b))))
-    tol = max(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
-    n_panels = max(1, int(math.ceil(window / _MAX_PANEL_WIDTH)))
-    edges = np.linspace(0.0, window, n_panels + 1)
-    # open panels, columns of lo, hi, tolerance share, depth
-    open_ = np.array([edges[:-1], edges[1:], tol * np.diff(edges) / window,
-                      np.zeros(n_panels)])
+    window = np.minimum(b - a, _WINDOW)
+    scale = np.linalg.norm(sg[:, None] / (lam[:, None] + schedule.eval(b)), axis=0)
+    tol = np.maximum(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
+    n_top = _top_panels(window)
+    gap = np.repeat(np.arange(b.size), n_top)
+    pos = np.arange(gap.size) - np.repeat(np.cumsum(n_top) - n_top, n_top)
+    step = (window / n_top)[gap]  # the edges of np.linspace(0, window, n_top + 1)
+    lo, hi = pos * step, np.where(pos + 1 == n_top[gap], window[gap], (pos + 1) * step)
+    # open panels, columns of lo, hi, tolerance share, depth, gap
+    open_ = np.array([lo, hi, tol[gap] * (hi - lo) / window[gap], np.zeros(gap.size), gap])
     coarse = None  # the open panels' values, r x panels
-    total = np.zeros_like(sg)
-    used = 0
+    total = np.zeros((sg.size, b.size))
+    panels = np.zeros(b.size, dtype=int)
+    failure = None
     while open_.shape[1]:
-        k = n_panels if coarse is None else min(open_.shape[1], _ROUND_PANELS)
-        lo, hi, tols, depth = open_[:, :k]
+        k = open_.shape[1] if coarse is None else min(open_.shape[1], _ROUND_PANELS)
+        lo, hi, tols, depth, g = open_[:, :k]
+        g = g.astype(int)
         mid = 0.5 * (lo + hi)
         x0 = np.concatenate([lo, mid] + ([lo] if coarse is None else []))
         x1 = np.concatenate([mid, hi] + ([hi] if coarse is None else []))
-        used += x0.size
-        if used > budget:
-            raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {a}")
+        reps = x0.size // k  # 3 in round 0, then 2
+        if panels.sum() + x0.size > budget:
+            j = int(open_[4].min())
+            return total, panels, (j, f"max_steps = {cfg.max_steps} exceeded at t = {a[j]}")
+        panels += reps * np.bincount(g, minlength=b.size)
         width = (x1 - x0)[:, None]
         tau = x0[:, None] + width * _GL_NODES
-        eps = np.asarray(schedule.eval(np.maximum(b - tau, 0.0)), dtype=float)
+        t_right = np.tile(b[g], reps)[:, None]
+        eps = np.asarray(schedule.eval(np.maximum(t_right - tau, 0.0)), dtype=float)
         # r x panels: each panel's weighted sum of the z-equilibria at its nodes
-        values = np.einsum("ipk,pk->ip", sg[:, None, None] / (lam[:, None, None] + eps),
-                           _GL_WEIGHTS * width * np.exp(-tau))
+        w = lam[:, None, None] + eps
+        np.divide(sg[:, None, None], w, out=w)  # in place: w is the round's largest array
+        values = np.einsum("ipk,pk->ip", w, _GL_WEIGHTS * width * np.exp(-tau))
         left, right, whole = np.split(values, [k, 2 * k], axis=1)
         coarse = whole if coarse is None else coarse
         fine = left + right
         err = np.linalg.norm(fine - coarse[:, :k], axis=0)
         split = err > tols
-        total += fine[:, ~split].sum(axis=1)
+        _add_by_gap(total, fine, g, ~split)
         stuck = split & (depth == _MAX_PANEL_DEPTH)
+        rest = np.arange(k, open_.shape[1])
         if stuck.any():
-            i = int(np.argmax(stuck))
-            raise NumericalError(
-                f"quadrature panel [{b - hi[i]}, {b - lo[i]}] not converged after "
-                f"{_MAX_PANEL_DEPTH} bisections: error {err[i]:.3e} > tolerance {tols[i]:.3e}")
-        halves = np.array([[lo, mid], [mid, hi], [tols / 2] * 2, [depth + 1] * 2])
-        open_ = np.concatenate([halves[:, :, split].reshape(4, -1), open_[:, k:]], axis=1)
-        coarse = np.concatenate([left[:, split], right[:, split], coarse[:, k:]], axis=1)
-    return total, used
+            i = int(np.argmax(stuck & (g == g[stuck].min())))
+            failure = (int(g[i]), f"quadrature panel [{b[g[i]] - hi[i]}, {b[g[i]] - lo[i]}] not "
+                       f"converged after {_MAX_PANEL_DEPTH} bisections: error {err[i]:.3e} "
+                       f"> tolerance {tols[i]:.3e}")
+            # give up this gap and the later ones; the earlier ones still
+            # finish, so the failure returned is the earliest
+            split &= g < g[i]
+            rest = rest[open_[4, k:] < g[i]]
+        halves = np.array([[lo, mid], [mid, hi], [tols / 2] * 2, [depth + 1] * 2, [g, g]])
+        open_ = np.concatenate([halves[:, :, split].reshape(5, -1), open_[:, rest]], axis=1)
+        coarse = np.concatenate([left[:, split], right[:, split], coarse[:, rest]], axis=1)
+    return total, panels, failure
+
+
+def _add_by_gap(total: np.ndarray, values: np.ndarray, gap: np.ndarray, mask) -> None:
+    """total[:, j] += the sum of the masked columns of ``values`` in gap j,
+    in column order and with the rounding of ``ndarray.sum`` over those
+    columns alone, so a gap's result does not depend on its group."""
+    cols = np.flatnonzero(mask)
+    cols = cols[np.argsort(gap[cols], kind="stable")]
+    counts = np.bincount(gap[cols], minlength=total.shape[1])
+    starts = np.cumsum(counts) - counts
+    for n in np.unique(counts[counts > 0]):
+        gaps = np.flatnonzero(counts == n)
+        total[:, gaps] += values[:, cols[starts[gaps, None] + np.arange(n)]].sum(axis=2)
 
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution propagates and the

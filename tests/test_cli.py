@@ -49,10 +49,12 @@ class TestSolve:
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "hilbert", "n": 6},
                             delta=0.01, seed=5)
-        assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_OK
-        first = (tmp_path / "out" / "results.json").read_bytes()
-        assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_OK
-        assert (tmp_path / "out" / "results.json").read_bytes() == first
+        argv = ["solve", "--config", str(path), "--quiet", "--store-trajectory"]
+        artifacts = ("results.json", "trajectory.csv")
+        assert main(argv) == EXIT_OK
+        first = [(tmp_path / "out" / name).read_bytes() for name in artifacts]
+        assert main(argv) == EXIT_OK
+        assert [(tmp_path / "out" / name).read_bytes() for name in artifacts] == first
 
     def test_null_space_rejection(self, tmp_path, capsys):
         path = write_config(

@@ -12,7 +12,7 @@ from illposed import (ConfigError, DSMConfig, DenseOperator, NoiseSpec,
                       default_schedule, evolve, gaussian_blur_problem,
                       identity_problem, regularized_normal_solve, run_dsm)
 from illposed import dsm
-from illposed.dsm import _MAX_PANEL_WIDTH, _gap_integral
+from illposed.dsm import _MAX_PANEL_WIDTH, _gap_integrals
 
 
 class ConstantSchedule(Schedule):
@@ -35,18 +35,24 @@ class ConstantSchedule(Schedule):
         raise NotImplementedError("constant schedule has no inverse")
 
 
-class JumpSchedule(ConstantSchedule):
-    """eps = 1 before ``t_jump`` and ``value`` after: no quadrature panel
-    that straddles the jump converges."""
+class StepSchedule(ConstantSchedule):
+    """eps = ``levels[i]`` from ``jumps[i - 1]`` up to ``jumps[i]``: no
+    quadrature panel that straddles a jump converges."""
 
-    def __init__(self, value, t_jump):
-        super().__init__(value)
-        self.t_jump = t_jump
+    def __init__(self, levels, jumps):
+        self.levels = np.asarray(levels, dtype=float)
+        self.jumps = np.asarray(jumps, dtype=float)
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t < self.t_jump, 1.0, self.value)
+        out = self.levels[np.searchsorted(self.jumps, t, side="right")]
         return float(out) if out.ndim == 0 else out
+
+
+class JumpSchedule(StepSchedule):
+    """eps = 1 before ``t_jump`` and ``value`` after."""
+
+    def __init__(self, value, t_jump):
+        super().__init__([1.0, value], [t_jump])
 
 
 @pytest.mark.parametrize("integrator", ["exponential_quadrature", "adaptive_runge_kutta"])
@@ -147,7 +153,7 @@ def test_integrators_cross_validate_rank_deficient():
 
 
 def _recursive_gap_integral(schedule, sg, lam, t_right, window, tol):
-    """Reference for ``_gap_integral``: the depth-first refiner it replaced.
+    """Reference for ``_gap_integrals``: the depth-first refiner of one gap.
     Each 7-node panel is compared with its two halves and split until they
     agree; returns the integral and the number of panels evaluated."""
     x, wts = np.polynomial.legendre.leggauss(7)
@@ -173,10 +179,26 @@ def _recursive_gap_integral(schedule, sg, lam, t_right, window, tol):
     return total, used
 
 
+def _reference_gaps(schedule, sg, lam, times, rel_tol):
+    """The recursive reference's integral and panel count for each gap."""
+    out = []
+    for a, b in zip(times[:-1], times[1:]):
+        tol = rel_tol * np.linalg.norm(sg / (lam + schedule.eval(b)))
+        out.append(_recursive_gap_integral(schedule, sg, lam, b, min(b - a, 60.0), tol))
+    return out
+
+
+def _blur_coefficients(dec, prob):
+    p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
+    return dec.singular_values[:dec.numerical_rank] * p.coefficients, p.lambdas
+
+
 @pytest.mark.parametrize("schedule, a, b, rel_tol, deep", [
     (default_schedule(), 0.0, 1e4, 1e-8, False),
     # eps falls steeply near t = 0: panels there split several times
     (PowerLawSchedule(1e-3, 1e-3, 0.9), 0.0, 3.0, 1e-12, True),
+    # the first two gaps both split, so later rounds mix their panels
+    (PowerLawSchedule(1e-3, 1e-3, 0.9), 0.0, 0.05, 1e-12, True),
 ])
 @pytest.mark.parametrize("round_panels", [None, 1])
 def test_gap_integral_matches_recursive_reference(gauss32, monkeypatch, schedule, a, b,
@@ -184,18 +206,29 @@ def test_gap_integral_matches_recursive_reference(gauss32, monkeypatch, schedule
     if round_panels:  # rounds shorter than the open list: panels wait for later rounds
         monkeypatch.setattr(dsm, "_ROUND_PANELS", round_panels)
     prob, dec = gauss32
-    p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
-    sg = dec.singular_values[:dec.numerical_rank] * p.coefficients
-    window = min(b - a, 60.0)
-    tol = rel_tol * np.linalg.norm(sg / (p.lambdas + schedule.eval(b)))
-    expected, expected_panels = _recursive_gap_integral(schedule, sg, p.lambdas, b, window, tol)
+    sg, lam = _blur_coefficients(dec, prob)
+    # the gap [a, b] and three later ones of 1, 49 and 1e4 - 50
+    times = np.array([a, b, b + 1.0, b + 50.0, b + 1e4])
     cfg = DSMConfig(relative_tolerance=rel_tol, absolute_tolerance=1e-300)
-    value, panels = _gap_integral(schedule, sg, p.lambdas, a, b, cfg, 10 ** 6)
-    assert panels == expected_panels
-    assert np.linalg.norm(value - expected) <= 1e-14 * np.linalg.norm(expected)
+    reference = _reference_gaps(schedule, sg, lam, times, rel_tol)
+    # all gaps in one call, split as across groups, or in reverse order:
+    # each gap keeps its own tolerance whatever else is in the call
+    for order, per_call in ((np.arange(4), 4), (np.arange(4), 1), (np.arange(4), 3),
+                            (np.arange(4)[::-1], 4)):
+        lo, hi = times[:-1][order], times[1:][order]
+        calls = [_gap_integrals(schedule, sg, lam, lo[i:i + per_call], hi[i:i + per_call],
+                                cfg, 10 ** 6)
+                 for i in range(0, 4, per_call)]
+        assert all(failure is None for _, _, failure in calls)
+        values = np.hstack([v for v, _, _ in calls])
+        panels = np.concatenate([n for _, n, _ in calls])
+        for k, j in enumerate(order):
+            expected, expected_panels = reference[j]
+            assert panels[k] == expected_panels
+            assert np.linalg.norm(values[:, k] - expected) <= 1e-14 * np.linalg.norm(expected)
     # 3 evaluations per top-level panel, 4 more if it is split once
-    first_split_only = 7 * math.ceil(window / _MAX_PANEL_WIDTH)
-    assert (panels > first_split_only) == deep
+    first_split_only = 7 * math.ceil(min(b - a, 60.0) / _MAX_PANEL_WIDTH)
+    assert (reference[0][1] > first_split_only) == deep
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
@@ -283,6 +316,91 @@ class TestEvolveErrors:
     def test_unknown_integrator(self):
         with pytest.raises(ConfigError):
             DSMConfig(integrator="verlet")
+
+
+class TestFailuresAcrossGroups:
+    """Gaps are integrated in groups; a failure still names the earliest gap
+    that could not be integrated, and the trajectory ends at its start."""
+
+    @staticmethod
+    def _count_panels(monkeypatch):
+        """Panels evaluated in all, and in the largest round."""
+        evaluated = [0, 0]
+        original = PowerLawSchedule.eval
+
+        def counted(schedule, t):
+            if np.ndim(t) == 2:  # quadrature nodes, one row of 7 per panel
+                evaluated[0] += np.shape(t)[0]
+                evaluated[1] = max(evaluated[1], np.shape(t)[0])
+            return original(schedule, t)
+        monkeypatch.setattr(PowerLawSchedule, "eval", counted)
+        return evaluated
+
+    @pytest.mark.parametrize("round_panels", [None, 1])
+    def test_max_steps_is_charged_exactly_and_never_passed(self, gauss32, monkeypatch,
+                                                           round_panels):
+        # 39 gaps in four groups, or one gap per group
+        if round_panels:
+            monkeypatch.setattr(dsm, "_ROUND_PANELS", round_panels)
+        prob, dec = gauss32
+        s, t_end = default_schedule(), 1e4
+        cfg = DSMConfig(trajectory_points=40)
+        sg, lam = _blur_coefficients(dec, prob)
+        needed = sum(n for _, n in _reference_gaps(
+            s, sg, lam, dsm._report_grid(t_end, 40), cfg.relative_tolerance))
+        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
+        evaluated = self._count_panels(monkeypatch)
+        evolve(dec, s, f, t_end, DSMConfig(trajectory_points=40, max_steps=needed))
+        assert evaluated[0] == needed
+        # a round holds at most 2 * _ROUND_PANELS evaluations, or one gap's
+        # round 0: 3 per top-level panel of a window of 60
+        assert evaluated[1] <= max(2 * dsm._ROUND_PANELS, 90)
+        for max_steps in (3, needed // 3, needed - 1):
+            evaluated[0] = 0
+            with pytest.raises(NumericalError) as info:
+                evolve(dec, s, f, t_end, DSMConfig(trajectory_points=40, max_steps=max_steps))
+            assert evaluated[0] <= max_steps
+            prefix = f"max_steps = {max_steps} exceeded at t = "
+            assert str(info.value).startswith(prefix)
+            t_fail = float(str(info.value)[len(prefix):])
+            partial = info.value.trajectory
+            assert partial.times[-1] == t_fail < t_end
+            assert info.value.stage == "integration"
+
+    @pytest.mark.parametrize("round_panels", [None, 1])
+    @pytest.mark.parametrize("late_jump", [0.8, 0.9])
+    def test_depth_cap_names_the_earliest_failing_gap(self, monkeypatch, round_panels,
+                                                      late_jump):
+        # four gaps of 0.25; the second and the fourth hold a jump.  With
+        # late_jump = 0.9 and one panel a round, the fourth gap's panel hits
+        # the cap first, and the second gap must still be refined to its cap.
+        if round_panels:
+            monkeypatch.setattr(dsm, "_ROUND_PANELS", round_panels)
+        prob = identity_problem(3)
+        dec = decompose(prob.operator)
+        p = build_profile(dec, prob.f_exact)
+        cfg = DSMConfig(relative_tolerance=1e-12, trajectory_points=5)
+        schedule = StepSchedule([1.0, 1e-3, 1e-6], [0.3, late_jump])
+        a = np.array([0.0, 0.25, 0.5, 0.75])
+        _, _, (gap, message) = _gap_integrals(schedule, dec.singular_values * p.coefficients,
+                                              p.lambdas, a, a + 0.25, cfg, 10 ** 6)
+        with pytest.raises(NumericalError, match="not converged") as info:
+            evolve(dec, schedule, prob.f_exact, 1.0, cfg)
+        assert gap == 1
+        assert str(info.value) == message
+        lo, hi = map(float, message.split("[")[1].split("]")[0].split(", "))
+        assert lo <= 0.3 <= hi
+        assert info.value.trajectory.times[-1] == 0.25
+
+    def test_divergence_before_a_later_depth_cap_is_raised(self):
+        # eps is NaN in the second gap and jumps in the fourth, in one group
+        prob = identity_problem(3)
+        dec = decompose(prob.operator)
+        cfg = DSMConfig(relative_tolerance=1e-12, trajectory_points=5)
+        schedule = StepSchedule([1.0, np.nan, 1.0, 1e-3], [0.3, 0.4, 0.9])
+        with pytest.raises(NumericalError, match="integration diverged") as info:
+            evolve(dec, schedule, prob.f_exact, 1.0, cfg)
+        assert info.value.trajectory.times[-1] == 0.25
 
 
 class TestRunDSM:
