@@ -204,6 +204,19 @@ def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_trajectory_csv(path: Path, config_hash: str, trajectory, y_reference,
+                          include_state: bool = False) -> None:
+    """The trajectory as CSV, byte for byte what ``_write_csv`` would write:
+    its float cells need no quoting, so pre-rendered lines go out as they are."""
+    header, lines = trajectory.to_csv_lines(y_reference, include_state)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        end = writer.dialect.lineterminator
+        fh.writelines(line + end for line in lines)
+
+
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
               quiet: bool) -> int:
     if cfg.delta is None:
@@ -230,9 +243,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
     })
     _write_json(out_dir / "results.json", payload)
     if store_trajectory and result.trajectory is not None:
-        header, rows = result.trajectory.to_csv_rows(prob.y_reference,
-                                                     include_state=True)
-        _write_csv(out_dir / "trajectory.csv", cfg.config_hash, header, rows)
+        _write_trajectory_csv(out_dir / "trajectory.csv", cfg.config_hash,
+                              result.trajectory, prob.y_reference, include_state=True)
     if not quiet:
         print(f"solve {prob.label}: epsilon_star={result.stopping.epsilon_star:.6e} "
               f"t_delta={result.stopping.t_delta:.6e} residual={result.residual:.6e}")
@@ -277,9 +289,8 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
             "",
         ])
         if store_trajectory and result.trajectory is not None:
-            header, traj_rows = result.trajectory.to_csv_rows(y)
-            _write_csv(out_dir / f"trajectory_{k}.csv", cfg.config_hash,
-                       header, traj_rows)
+            _write_trajectory_csv(out_dir / f"trajectory_{k}.csv", cfg.config_hash,
+                                  result.trajectory, y)
     _write_csv(out_dir / "convergence.csv", cfg.config_hash,
                CONVERGENCE_COLUMNS, rows)
     if not quiet:

@@ -4,6 +4,9 @@ The residual norm of the regularized normal-equation solution,
 ``||A (A^T A + eps)^{-1} A^T f - f||``, is evaluated through the spectral
 weights of the data; setting it equal to C * delta and solving for eps
 yields the regularization strength at which integration should stop.
+The root is located by Newton's method and returned as the end of the
+log-bisection bracket, bit for bit, with the profile evaluated only where
+Newton's certified margins leave the bisection's comparison open.
 The same profile is the spectral record the evolution in ``dsm`` reads.
 """
 
@@ -20,6 +23,11 @@ from .schedule import Schedule
 
 _BRACKET_RTOL = 1e-13
 _EPS_FLOOR = 1e-300
+_EPS_CEIL = 1e308
+_X_FLOOR, _X_CEIL = math.log(_EPS_FLOOR), math.log(_EPS_CEIL)
+_NEWTON_XTOL = 1e-13
+_NEWTON_STEPS = 50
+_PROBES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,19 +100,103 @@ def discrepancy_value(p: DiscrepancyProfile, eps: float) -> float:
     return math.sqrt(p.null_mass + float(p.betas @ (ratio * ratio)))
 
 
+def _phi_and_slope(p: DiscrepancyProfile, eps: float) -> tuple[float, float]:
+    """phi = discrepancy_value(p, eps)**2 and its slope d phi / d ln eps.
+
+    With q_i = eps / (eps + lambda_i), phi = null_mass + sum beta_i q_i^2
+    and the slope is 2 sum beta_i q_i^2 (1 - q_i); 1 - q_i is formed as
+    lambda_i / (eps + lambda_i), which does not cancel when eps >> lambda_i.
+    """
+    d = p.lambdas + eps
+    q = eps / d
+    bq = p.betas * q
+    return p.null_mass + float(bq @ q), 2.0 * float(bq @ (q * (p.lambdas / d)))
+
+
+def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tuple[float, float]:
+    """Points a < b such that discrepancy_value(p, eps) < target for every
+    eps <= a and >= target for every eps >= b; (0, inf) if none are found.
+
+    A safeguarded Newton iteration in x = ln eps on ln h(e^x) = ln target
+    locates the root, then one probe (or a few) either side of it is
+    evaluated.  Of all evaluated points, a is the largest eps with
+    h <= target (1 - kappa) and b the smallest with h >= target (1 + kappa).
+    For positive terms the computed h is within (r + 7) 2^-53 of the exact
+    h, relatively, whatever the summation order; kappa is four times that,
+    so it covers the error of the evaluation that certified a point and of
+    any later one.  As the exact h is nondecreasing, every eps <= a then
+    computes below target and every eps >= b at or above it.  The bound is
+    relative only while no term underflows or overflows materially, so
+    badly scaled profiles are left uncertified.
+    """
+    r = p.lambdas.shape[0]
+    kappa = 4.0 * (r + 7) * 2.0 ** -53
+    if not (target * target > 1e-290 * (mass + r) and mass + p.null_mass < 1e290
+            and float(p.lambdas.max()) < 1e300):
+        return 0.0, math.inf
+    lower, upper = target * (1.0 - kappa), target * (1.0 + kappa)
+    ln_target = math.log(target)
+    points = []  # (eps, h) of every evaluation
+    x_lo, x_hi = _X_FLOOR, _X_CEIL
+    x, eps, root = 0.0, 1.0, None
+    for _ in range(_NEWTON_STEPS):
+        phi, slope = _phi_and_slope(p, eps)
+        h = math.sqrt(phi)
+        points.append((eps, h))
+        if h < target:
+            x_lo = x
+        else:
+            x_hi = x
+        s = 0.5 * slope / phi if phi > 0.0 else 0.0  # d ln h / d ln eps
+        if s > 0.0:
+            gap = ln_target - math.log(h)
+            dx = gap / s
+            # test for convergence before the safeguard: a converged step
+            # lands on a bracket end, and bisecting it would never stop
+            if abs(gap) <= kappa / 4.0:  # at the rounding level of h
+                root = x
+                break
+            if abs(dx) <= _NEWTON_XTOL:
+                root = x + dx
+                break
+            x += dx
+        if not (s > 0.0 and x_lo < x < x_hi):
+            x = 0.5 * (x_lo + x_hi)
+        eps = math.exp(x)
+    if root is not None:
+        for side in (-1.0, 1.0):
+            offset = 2.0 * kappa / s
+            for _ in range(_PROBES):
+                eps = math.exp(min(max(root + side * offset, _X_FLOOR), _X_CEIL))
+                h = discrepancy_value(p, eps)
+                points.append((eps, h))
+                if (h <= lower) if side < 0.0 else (h >= upper):
+                    break
+                offset *= 2.0
+    return (max((e for e, h in points if h <= lower), default=0.0),
+            min((e for e, h in points if h >= upper), default=math.inf))
+
+
 def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float, float, int]:
     """Locate the eps with discrepancy_value(p, eps) = C * delta.
 
-    Bisection on log(eps); the bracket's upper end is returned so the
-    achieved residual sits at or marginally above the target, which keeps
-    the regularized solution's norm below the reference solution's.
+    Bisection on log(eps) from [_EPS_FLOOR, 1], the upper end growing by
+    tenfold steps until it brackets the root; the bracket's upper end is
+    returned so the achieved residual sits at or marginally above the
+    target, which keeps the regularized solution's norm below the
+    reference solution's.  ``iterations`` counts the bisection's steps
+    (expansions plus halvings), not profile evaluations.  The bisection
+    only evaluates the profile at midpoints between the margins
+    certified by ``_certified_margins``; on either side of them the
+    comparison's outcome is known, so the bracket is the same bit for bit.
     """
     if delta <= 0 or not math.isfinite(delta):
         raise PreconditionError(f"delta must be positive, got {delta}")
     if C < 1.0:
         raise PreconditionError(f"C must be at least 1, got {C}")
     target = C * delta
-    if float(p.betas.sum()) <= 0.0:
+    mass = float(p.betas.sum())
+    if mass <= 0.0:
         raise PreconditionError(
             "degenerate profile: data lies entirely in the null space of the adjoint")
     if target >= p.data_norm:
@@ -114,19 +206,20 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         raise PreconditionError(
             "data has null-space component exceeding C*delta; project f_delta or increase C")
 
+    a, b = _certified_margins(p, target, mass)
     iterations = 0
     lo, hi = _EPS_FLOOR, 1.0
-    while discrepancy_value(p, hi) < target:
+    while hi <= a or (hi < b and discrepancy_value(p, hi) < target):
         lo = hi
         hi *= 10.0
         iterations += 1
-        if hi > 1e308:
+        if hi > _EPS_CEIL:
             raise NumericalError("discrepancy bracket growth overflowed")
     while hi - lo > _BRACKET_RTOL * hi:
         mid = math.sqrt(lo * hi)
         if mid <= lo or mid >= hi:
             break
-        if discrepancy_value(p, mid) < target:
+        if mid <= a or (mid < b and discrepancy_value(p, mid) < target):
             lo = mid
         else:
             hi = mid
@@ -146,7 +239,12 @@ def solve_for_epsilon(p: DiscrepancyProfile, delta: float, C: float = 1.0) -> fl
 
 @dataclass(frozen=True)
 class StoppingResult:
-    """Root of the discrepancy equation mapped to a stopping time."""
+    """Root of the discrepancy equation mapped to a stopping time.
+
+    ``iterations`` counts the steps of the log-bisection whose bracket
+    end is ``epsilon_star`` (tenfold expansions plus halvings), not
+    profile evaluations.
+    """
 
     epsilon_star: float
     t_delta: float

@@ -100,10 +100,11 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def to_csv_rows(self, y_reference=None, include_state: bool = False):
-        """Header and rows for CSV export: t, residual_norm, then the
+    def to_csv_lines(self, y_reference=None, include_state: bool = False):
+        """Header and CSV lines for export: t, residual_norm, then the
         reference error when a reference is supplied, then optionally the
-        full state.  Floats are rendered at full round-trip precision."""
+        full state.  Every cell is a float at full round-trip precision, so
+        none needs quoting and a line is the floats' reprs joined by commas."""
         header = ["t", "residual_norm"]
         y = None
         if y_reference is not None:
@@ -111,15 +112,15 @@ class Trajectory:
             header.append("error_vs_reference")
         if include_state:
             header.extend(f"state_{i}" for i in range(self.states.shape[1]))
-        rows = []
+        lines = []
         for i, (t, res) in enumerate(zip(self.times.tolist(), self.residual_norms.tolist())):
-            row = [repr(t), repr(res)]
+            row = [t, res]
             if y is not None:
-                row.append(repr(float(np.linalg.norm(self.states[i] - y))))
+                row.append(float(np.linalg.norm(self.states[i] - y)))
             if include_state:  # a row at a time: the whole matrix as floats is MBs
-                row.extend(map(repr, self.states[i].tolist()))
-            rows.append(row)
-        return header, rows
+                row.extend(self.states[i].tolist())
+            lines.append(repr(row)[1:-1].replace(", ", ","))
+        return header, lines
 
 
 @dataclass(frozen=True, eq=False)

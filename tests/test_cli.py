@@ -1,9 +1,14 @@
 import csv
+import io
 import json
 
+import numpy as np
+import pytest
+
+from illposed import Trajectory
 from illposed.cli import (CONVERGENCE_COLUMNS, EXIT_CONFIG, EXIT_OK,
-                          EXIT_PRECONDITION, NONLINEAR_COLUMNS, load_config,
-                          main)
+                          EXIT_PRECONDITION, NONLINEAR_COLUMNS,
+                          _write_trajectory_csv, load_config, main)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -25,6 +30,35 @@ def read_csv(path):
         comment = fh.readline()
         assert comment.startswith("# config_hash=")
         return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("with_reference, include_state",
+                         [(True, True), (True, False), (False, True), (False, False)])
+def test_trajectory_csv_matches_csv_writer(tmp_path, with_reference, include_state):
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-8]
+    states = np.array([special[k:] + special[:k] for k in range(3)])
+    traj = Trajectory(times=np.array([0.0, 5e-324, 1e300]),
+                      residual_norms=np.array([np.nan, -0.0, np.inf]), states=states)
+    y = np.linspace(-1.0, 1.0, len(special)) if with_reference else None
+    _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, include_state)
+
+    header = ["t", "residual_norm"]
+    header += ["error_vs_reference"] if with_reference else []
+    header += [f"state_{i}" for i in range(len(special))] if include_state else []
+    rows = []
+    for t, res, state in zip(traj.times, traj.residual_norms, states):
+        row = [repr(float(t)), repr(float(res))]
+        if with_reference:
+            row.append(repr(float(np.linalg.norm(state - y))))
+        if include_state:
+            row += [repr(float(v)) for v in state]
+        rows.append(row)
+    expected = io.StringIO()
+    expected.write("# config_hash=abc\n")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestSolve:

@@ -1,11 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import illposed.discrepancy as discrepancy
 from illposed import (DenseOperator, NoiseSpec, PreconditionError, add_noise,
                       build_profile, decompose, default_schedule,
-                      discrepancy_value, rank_deficient_problem,
-                      regularized_normal_solve, solve_for_epsilon,
-                      stop_from_profile, stopping_time)
+                      discrepancy_value, gaussian_blur_problem,
+                      rank_deficient_problem, regularized_normal_solve,
+                      solve_for_epsilon, stop_from_profile, stopping_time)
+from illposed.discrepancy import (_BRACKET_RTOL, _EPS_FLOOR, DiscrepancyProfile,
+                                  _epsilon_root)
+from illposed.errors import NumericalError
 
 
 def grid_scan_root(profile, target, lo=1e-14, hi=1e8, points=1_000_000):
@@ -187,3 +195,157 @@ def test_bisection_deterministic(diag_profile):
     a = solve_for_epsilon(diag_profile, 0.2, 1.0)
     b = solve_for_epsilon(diag_profile, 0.2, 1.0)
     assert a == b
+
+
+def _bisection_reference(p, delta, C):
+    """The plain log-bisection root, evaluating the profile at every step."""
+    if delta <= 0 or not math.isfinite(delta):
+        raise PreconditionError(f"delta must be positive, got {delta}")
+    if C < 1.0:
+        raise PreconditionError(f"C must be at least 1, got {C}")
+    target = C * delta
+    if float(p.betas.sum()) <= 0.0:
+        raise PreconditionError(
+            "degenerate profile: data lies entirely in the null space of the adjoint")
+    if target >= p.data_norm:
+        raise PreconditionError(
+            f"noise level exceeds data: C*delta = {target} must be below ||f_delta|| = {p.data_norm}")
+    if target <= math.sqrt(p.null_mass):
+        raise PreconditionError(
+            "data has null-space component exceeding C*delta; project f_delta or increase C")
+
+    iterations = 0
+    lo, hi = _EPS_FLOOR, 1.0
+    while discrepancy_value(p, hi) < target:
+        lo = hi
+        hi *= 10.0
+        iterations += 1
+        if hi > 1e308:
+            raise NumericalError("discrepancy bracket growth overflowed")
+    while hi - lo > _BRACKET_RTOL * hi:
+        mid = math.sqrt(lo * hi)
+        if mid <= lo or mid >= hi:
+            break
+        if discrepancy_value(p, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return hi, discrepancy_value(p, hi), iterations
+
+
+def _outcome(root, p, delta, C):
+    """The root's tuple, or the type and message of what it raised."""
+    try:
+        return root(p, delta, C)
+    except (PreconditionError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_root(p, delta, C):
+    expected = _outcome(_bisection_reference, p, delta, C)
+    assert _outcome(_epsilon_root, p, delta, C) == expected
+    return expected
+
+
+@st.composite
+def root_cases(draw):
+    """A random profile and a target: interior, within 1e-14 to 1e-6
+    (relative) of sqrt(null_mass) or of the data norm, at a root above 1,
+    or at a root near _EPS_FLOOR."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = draw(st.integers(1, 256))
+    kind = draw(st.sampled_from(["interior", "near_null", "near_norm", "above_one", "near_floor"]))
+    lowest = -300.0 if kind == "near_floor" else -30.0
+    lambdas = np.sort(10.0 ** rng.uniform(lowest, 6.0, r))[::-1]
+    g = rng.standard_normal(r) * 10.0 ** rng.uniform(-8.0, 2.0, r)
+    has_null = kind == "near_null" or (kind != "near_floor" and draw(st.booleans()))
+    null_mass = 10.0 ** rng.uniform(-35.0, 0.0) if has_null else 0.0
+    p = DiscrepancyProfile(lambdas=lambdas, coefficients=g, null_mass=null_mass,
+                           data_norm_sq=float(g @ g) + null_mass)
+    offset = 10.0 ** draw(st.floats(-14.0, -6.0))
+    if kind == "near_null":
+        target = math.sqrt(null_mass) * (1.0 + offset)
+    elif kind == "near_norm":
+        target = p.data_norm * (1.0 - offset)
+    elif kind == "above_one":
+        target = discrepancy_value(p, 10.0 ** draw(st.floats(0.1, 12.0)))
+    elif kind == "near_floor":
+        target = discrepancy_value(p, 10.0 ** draw(st.floats(-300.0, -290.0)))
+    else:
+        target = discrepancy_value(p, 10.0 ** draw(st.floats(-30.0, 6.0)))
+    C = draw(st.floats(1.0, 3.0))
+    return p, target / C, C
+
+
+class TestRootMatchesBisection:
+    """The Newton-certified root returns the bisection's tuple exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(root_cases())
+    def test_random_profiles(self, case):
+        _assert_same_root(*case)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("C", [1.0, 1.5])
+    def test_blur(self, n, C):
+        prob = gaussian_blur_problem(n, 0.05)
+        dec = decompose(prob.operator)
+        for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+            for seed in range(4):
+                p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, seed)))
+                _assert_same_root(p, delta, C)
+
+    @pytest.mark.parametrize("lam, target", [(1e295, 1.0 - 1e-14), (1e308, 0.4)])
+    def test_expansion_overflow(self, lam, target):
+        # with lambda = 1e308, eps + lambda overflows before the bracket does
+        p = DiscrepancyProfile(lambdas=np.array([lam]), coefficients=np.array([1.0]),
+                               null_mass=0.0, data_norm_sq=1.0)
+        with np.errstate(over="ignore"):
+            assert _assert_same_root(p, target, 1.0) == (
+                NumericalError, "discrepancy bracket growth overflowed")
+
+    @pytest.mark.parametrize("delta, C", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0),
+                                          (math.nan, 1.0), (0.2, 0.5), (2.0, 1.0)])
+    def test_precondition_failures(self, diag_profile, delta, C):
+        assert _assert_same_root(diag_profile, delta, C)[0] is PreconditionError
+
+    def test_profile_precondition_failures(self):
+        dec = decompose(DenseOperator(np.diag([1.0, 0.0])))
+        for f, delta in (([0.0, 1.0], 0.5), ([1.0, 1.0], 0.5)):
+            assert _assert_same_root(build_profile(dec, f), delta, 1.0)[0] is PreconditionError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-152.0, -140.0))
+def test_margins_hold_near_underflow(seed, log_eps):
+    # h^2 is subnormal here, far coarser than the rounding bound the margins
+    # rely on, so no margin may be certified that discrepancy_value breaks
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 6))
+    g = rng.uniform(0.5, 3.0, r) * 10.0 ** rng.uniform(-3.0, 0.0, r)
+    p = DiscrepancyProfile(lambdas=np.sort(10.0 ** rng.uniform(0.0, 6.0, r))[::-1],
+                           coefficients=g, null_mass=0.0, data_norm_sq=float(g @ g))
+    target = discrepancy_value(p, 10.0 ** log_eps) * (1.0 + rng.uniform(-1e-3, 1e-3))
+    a, b = discrepancy._certified_margins(p, target, float(p.betas.sum()))
+    for eps in (a, np.nextafter(a, 0.0)) if a > 0.0 else ():
+        assert discrepancy_value(p, eps) < target
+    for eps in (b, np.nextafter(b, math.inf)) if b < math.inf else ():
+        assert discrepancy_value(p, eps) >= target
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_root_evaluation_budget(monkeypatch, delta):
+    # 54 scalar evaluations for the plain bisection; Newton steps count too
+    calls = []
+    for name in ("discrepancy_value", "_phi_and_slope"):
+        inner = getattr(discrepancy, name)
+        monkeypatch.setattr(discrepancy, name,
+                            lambda p, eps, inner=inner: calls.append(eps) or inner(p, eps))
+    prob = gaussian_blur_problem(64, 0.05)
+    dec = decompose(prob.operator)
+    p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, 7)))
+    eps, achieved, iterations = _epsilon_root(p, delta, 1.0)
+    assert len(calls) <= 25
+    assert iterations == 53
+    assert (eps, achieved, iterations) == _bisection_reference(p, delta, 1.0)
