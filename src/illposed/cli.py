@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsm import INTEGRATORS, DSMConfig, run_dsm
+from .dsm import DSMConfig, run_dsm
 from .errors import ConfigError, IllposedError, NumericalError, PreconditionError
 from .nonlinear import nonlinear_discrepancy_result
 from .operators import decompose
@@ -56,9 +56,7 @@ class ExperimentConfig:
     seed: int
     noise: bool
     in_range_closure: bool
-    integrator: str
-    relative_tolerance: float
-    absolute_tolerance: float
+    dsm_config: DSMConfig
     store_trajectory: bool
     output_dir: str
     raw: dict
@@ -67,11 +65,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-    def dsm_config(self) -> DSMConfig:
-        return DSMConfig(integrator=self.integrator,
-                         relative_tolerance=self.relative_tolerance,
-                         absolute_tolerance=self.absolute_tolerance)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -119,11 +112,8 @@ def load_config(path) -> ExperimentConfig:
         if any(b >= a for a, b in zip(seq[:-1], seq[1:])):
             raise ConfigError("delta_sequence must be strictly decreasing")
 
-    integrator = raw.get("integrator", "exponential_quadrature")
-    if integrator not in INTEGRATORS:
-        raise ConfigError(f"unknown integrator {integrator!r}; choose one of {INTEGRATORS}")
-    if rel <= 0 or abs_ <= 0:
-        raise ConfigError("tolerances must be positive")
+    dsm_config = DSMConfig(integrator=raw.get("integrator", "exponential_quadrature"),
+                           relative_tolerance=rel, absolute_tolerance=abs_)
 
     return ExperimentConfig(
         problem=problem,
@@ -134,9 +124,7 @@ def load_config(path) -> ExperimentConfig:
         seed=seed,
         noise=bool(raw.get("noise", True)),
         in_range_closure=bool(raw.get("in_range_closure", True)),
-        integrator=integrator,
-        relative_tolerance=rel,
-        absolute_tolerance=abs_,
+        dsm_config=dsm_config,
         store_trajectory=bool(raw.get("store_trajectory", False)),
         output_dir=str(raw.get("output_dir", "out")),
         raw=raw,
@@ -230,7 +218,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
     else:
         f_delta = prob.f_exact
     result = run_dsm(dec, cfg.schedule, f_delta, cfg.delta, cfg.C,
-                     cfg.dsm_config(), y_reference=prob.y_reference)
+                     cfg.dsm_config, y_reference=prob.y_reference)
 
     y_norm = float(np.linalg.norm(prob.y_reference))
     payload = result.to_json_dict()
@@ -271,7 +259,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
             else:
                 f_delta = prob.f_exact
             result = run_dsm(dec, cfg.schedule, f_delta, delta, cfg.C,
-                             cfg.dsm_config(), y_reference=y)
+                             cfg.dsm_config, y_reference=y)
         except IllposedError as exc:
             elapsed = 1000.0 * (time.perf_counter() - started)
             rows.append([_fmt(delta), "", "", "", "", "", "", _fmt(elapsed), str(exc)])

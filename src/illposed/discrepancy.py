@@ -13,6 +13,7 @@ The same profile is the spectral record the evolution in ``dsm`` reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +25,17 @@ from .schedule import Schedule
 _BRACKET_RTOL = 1e-13
 _EPS_FLOOR = 1e-300
 _EPS_CEIL = 1e308
+_NORMAL_MIN = sys.float_info.min
 _X_FLOOR, _X_CEIL = math.log(_EPS_FLOOR), math.log(_EPS_CEIL)
 _NEWTON_XTOL = 1e-13
 _NEWTON_STEPS = 50
 _PROBES = 3
+# Where d ln h / d ln eps is below this at the root, the certified interval,
+# about 4 kappa / s wide in ln eps, is too wide for the replay to skip many
+# midpoints, and Newton's steps there cost more than the bisection they save.
+_FLAT_SLOPE = 1e-6
+# Criterion 1's bound on the achieved residual, relative to ||f_delta||.
+_ROOT_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +136,19 @@ def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tup
     computes below target and every eps >= b at or above it.  The bound is
     relative only while no term underflows or overflows materially, so
     badly scaled profiles are left uncertified.
+
+    Roots flatter than _FLAT_SLOPE are left uncertified too.  As
+    q_i^2 (1 - q_i) is at most 1 - q_i^2 and at most q_i^2, the slope
+    d ln h / d ln eps is at most min(||f||^2 - h^2, h^2 - null_mass) / h^2
+    at every eps, so a target this near either limit of h has a flat root.
     """
     r = p.lambdas.shape[0]
     kappa = 4.0 * (r + 7) * 2.0 ** -53
-    if not (target * target > 1e-290 * (mass + r) and mass + p.null_mass < 1e290
+    t2 = target * target
+    if not (t2 > 1e-290 * (mass + r) and mass + p.null_mass < 1e290
             and float(p.lambdas.max()) < 1e300):
+        return 0.0, math.inf
+    if min(p.data_norm_sq - t2, t2 - p.null_mass) < _FLAT_SLOPE * t2:
         return 0.0, math.inf
     lower, upper = target * (1.0 - kappa), target * (1.0 + kappa)
     ln_target = math.log(target)
@@ -189,6 +205,8 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
     only evaluates the profile at midpoints between the margins
     certified by ``_certified_margins``; on either side of them the
     comparison's outcome is known, so the bracket is the same bit for bit.
+    A residual more than _ROOT_RTOL ||f|| off the target at the returned
+    end, as for a root below _EPS_FLOOR, raises ``NumericalError``.
     """
     if delta <= 0 or not math.isfinite(delta):
         raise PreconditionError(f"delta must be positive, got {delta}")
@@ -216,7 +234,8 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         if hi > _EPS_CEIL:
             raise NumericalError("discrepancy bracket growth overflowed")
     while hi - lo > _BRACKET_RTOL * hi:
-        mid = math.sqrt(lo * hi)
+        prod = lo * hi  # not a normal number for roots below about 1e-150
+        mid = math.sqrt(prod) if prod >= _NORMAL_MIN else math.sqrt(lo) * math.sqrt(hi)
         if mid <= lo or mid >= hi:
             break
         if mid <= a or (mid < b and discrepancy_value(p, mid) < target):
@@ -224,7 +243,12 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         else:
             hi = mid
         iterations += 1
-    return hi, discrepancy_value(p, hi), iterations
+    achieved = discrepancy_value(p, hi)
+    if abs(achieved - target) > _ROOT_RTOL * p.data_norm:
+        raise NumericalError(
+            f"discrepancy root missed: residual {achieved} at eps = {hi}, target {target}",
+            stage="discrepancy")
+    return hi, achieved, iterations
 
 
 def solve_for_epsilon(p: DiscrepancyProfile, delta: float, C: float = 1.0) -> float:

@@ -13,7 +13,7 @@ integrator that evaluates the variation-of-constants form
 
     z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau
 
-with Gauss-Legendre panels refined in array rounds, and an embedded
+with Gauss-Legendre panels refined in array rounds, and scipy's RK45
 Dormand-Prince 5(4) pair with step-size control, the cross-check oracle.
 The gap integrals do not depend on z, so the exponential route integrates
 consecutive gaps in groups, a few array rounds per group, and then chains
@@ -47,6 +47,8 @@ _MAX_PANEL_DEPTH = 30
 # hits the depth cap in about _MAX_PANEL_DEPTH rounds.
 _ROUND_PANELS = 256
 _RK_MAX_STEP = 3.0
+# scipy's RK45 raises a smaller relative tolerance to this with only a warning
+_RK_MIN_RTOL = 100 * np.finfo(float).eps
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 _GL_NODES = (_GL_X + 1.0) / 2.0
@@ -75,6 +77,9 @@ class DSMConfig:
                 f"unknown integrator {self.integrator!r}; choose one of {INTEGRATORS}")
         if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
             raise ConfigError("tolerances must be positive")
+        if self.integrator == "adaptive_runge_kutta" and self.relative_tolerance < _RK_MIN_RTOL:
+            raise ConfigError(f"adaptive_runge_kutta needs relative_tolerance >= "
+                              f"{_RK_MIN_RTOL:.3g}, got {self.relative_tolerance}")
         if self.max_steps <= 0:
             raise ConfigError("max_steps must be positive")
         if self.trajectory_points < 2:
@@ -147,16 +152,13 @@ class DSMResult:
         object.__setattr__(self, "w_final", _frozen(self.w_final))
 
     def to_json_dict(self, include_solution: bool = True) -> dict:
-        out = {
-            "epsilon_star": self.stopping.epsilon_star,
-            "t_delta": self.stopping.t_delta,
-            "achieved_discrepancy": self.stopping.achieved_discrepancy,
-            "iterations": self.stopping.iterations,
+        out = self.stopping.to_json_dict()
+        out.update({
             "residual": self.residual,
             "projected_null_mass": self.projected_null_mass,
             "error_vs_reference": self.error_vs_reference,
             "tikhonov_error_vs_reference": self.tikhonov_error_vs_reference,
-        }
+        })
         if include_solution:
             out["u_final"] = [float(x) for x in self.u_final]
         return out
@@ -349,27 +351,14 @@ def _add_by_gap(total: np.ndarray, values: np.ndarray, gap: np.ndarray, mask) ->
         total[:, gaps] += values[:, cols[starts[gaps, None] + np.arange(n)]].sum(axis=2)
 
 
-# Dormand-Prince 5(4) tableau; the 5th-order solution propagates and the
-# first stage is the last stage of the previous step (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_ERR = _DP_B5 - _DP_B4
-
-
 def _evolve_rk(schedule, sg, lam, times, cfg, zs) -> None:
-    """Append z at each report time after the first to ``zs``; steps are
-    clipped so that they land on the report times."""
+    """Append z at each report time after the first to ``zs``, by scipy's
+    Dormand-Prince 5(4) pair, restarted at each report time so that states
+    land on it; ``max_steps`` counts accepted steps."""
+    # imported here: scipy.integrate pulls in scipy.special and more, which
+    # would add memory and start-up time to every run of the other integrator
+    from scipy.integrate import RK45
+
     t_end = float(times[-1])
     min_steps = math.ceil(t_end / _RK_MAX_STEP)
     if min_steps > cfg.max_steps:
@@ -378,43 +367,26 @@ def _evolve_rk(schedule, sg, lam, times, cfg, zs) -> None:
             f"{_RK_MAX_STEP} to reach t = {t_end}; max_steps = {cfg.max_steps}")
 
     def deriv(t: float, z: np.ndarray) -> np.ndarray:
-        return sg / (lam + float(schedule.eval(t))) - z
+        out = sg / (lam + float(schedule.eval(t))) - z
+        # scipy would shrink its steps toward a non-finite point, not stop
+        if not np.all(np.isfinite(out)):
+            raise NumericalError("integration diverged")
+        return out
 
-    t, z = 0.0, zs[0]
-    h = min(0.01, t_end)
-    k = [None] * 7
-    k[0] = deriv(t, z)
-    steps = 0
-    for t_next in times[1:]:
-        while t < t_next:
+    h, steps = None, 0
+    for t, t_next in zip(times[:-1], times[1:]):
+        solver = RK45(deriv, t, zs[-1], t_next, max_step=_RK_MAX_STEP,
+                      rtol=cfg.relative_tolerance, atol=cfg.absolute_tolerance,
+                      first_step=None if h is None else min(h, t_next - t))
+        while solver.status == "running":
+            if steps == cfg.max_steps:
+                raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {solver.t}")
+            message = solver.step()
+            if solver.status == "failed":
+                raise NumericalError(f"step size underflow: {message}")
             steps += 1
-            if steps > cfg.max_steps:
-                raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {t}")
-            clipped = h >= t_next - t
-            step = t_next - t if clipped else h
-            for i in range(1, 7):
-                incr = sum(aij * k[j] for j, aij in enumerate(_DP_A[i]))
-                k[i] = deriv(t + _DP_C[i] * step, z + step * incr)
-            z_new = z + step * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-            err_vec = step * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
-            scale = cfg.absolute_tolerance + cfg.relative_tolerance * max(
-                float(np.linalg.norm(z)), float(np.linalg.norm(z_new)))
-            err = float(np.linalg.norm(err_vec)) / scale
-            if not math.isfinite(err):
-                raise NumericalError("integration diverged")
-            if err <= 1.0:
-                t = t_next if clipped else t + step
-                z = z_new
-                k[0] = k[6]
-                if not clipped:
-                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                    h = min(h * factor, _RK_MAX_STEP)
-            else:
-                # rejected: t, z unchanged, so the FSAL stage k[0] stays valid
-                h = step * max(0.2, 0.9 * err ** -0.2)
-                if h < 1e-14 * max(t, 1.0):
-                    raise NumericalError("step size underflow")
-        zs.append(z)
+        h = solver.h_abs
+        zs.append(solver.y)
 
 
 def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,

@@ -241,6 +241,13 @@ class TestConfigParsing:
         path = write_config(tmp_path, delta=0.1, integrator="euler")
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
+    def test_rk_tolerance_below_floor(self, tmp_path, capsys):
+        path = write_config(tmp_path, delta=0.1, integrator="adaptive_runge_kutta",
+                            relative_tolerance=1e-15)
+        assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)
+        assert "relative_tolerance" in err["error"]["message"]
+
     def test_config_hash_stable_under_whitespace(self, tmp_path):
         p1 = write_config(tmp_path, "a.json", delta=0.1)
         cfg = json.loads(p1.read_text())

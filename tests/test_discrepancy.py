@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -223,7 +224,8 @@ def _bisection_reference(p, delta, C):
         if hi > 1e308:
             raise NumericalError("discrepancy bracket growth overflowed")
     while hi - lo > _BRACKET_RTOL * hi:
-        mid = math.sqrt(lo * hi)
+        mid = (math.sqrt(lo * hi) if lo * hi >= sys.float_info.min
+               else math.sqrt(lo) * math.sqrt(hi))
         if mid <= lo or mid >= hi:
             break
         if discrepancy_value(p, mid) < target:
@@ -231,7 +233,11 @@ def _bisection_reference(p, delta, C):
         else:
             hi = mid
         iterations += 1
-    return hi, discrepancy_value(p, hi), iterations
+    achieved = discrepancy_value(p, hi)
+    if abs(achieved - target) > 1e-10 * p.data_norm:
+        raise NumericalError(
+            f"discrepancy root missed: residual {achieved} at eps = {hi}, target {target}")
+    return hi, achieved, iterations
 
 
 def _outcome(root, p, delta, C):
@@ -305,6 +311,24 @@ class TestRootMatchesBisection:
             assert _assert_same_root(p, target, 1.0) == (
                 NumericalError, "discrepancy bracket growth overflowed")
 
+    def test_root_below_the_midpoint_underflow(self):
+        # sqrt(lo * hi) is 0 once the bracket falls below about 1e-150
+        p = DiscrepancyProfile(lambdas=np.array([1e-280, 1e-300]),
+                               coefficients=np.array([1.0, 1.0]),
+                               null_mass=0.0, data_norm_sq=2.0)
+        eps, achieved, _ = _assert_same_root(p, 0.5, 1.0)
+        assert eps < 1e-299
+        assert abs(achieved - 0.5) <= 1e-10 * p.data_norm
+
+    def test_root_below_the_floor_raises(self):
+        # h(_EPS_FLOOR) is about 0.09, far above the target
+        p = DiscrepancyProfile(lambdas=np.array([1e-299]), coefficients=np.array([1.0]),
+                               null_mass=0.0, data_norm_sq=1.0)
+        with pytest.raises(NumericalError, match="discrepancy root missed") as info:
+            _epsilon_root(p, 0.01, 1.0)
+        assert info.value.stage == "discrepancy"
+        assert _assert_same_root(p, 0.01, 1.0)[0] is NumericalError
+
     @pytest.mark.parametrize("delta, C", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0),
                                           (math.nan, 1.0), (0.2, 0.5), (2.0, 1.0)])
     def test_precondition_failures(self, diag_profile, delta, C):
@@ -334,14 +358,19 @@ def test_margins_hold_near_underflow(seed, log_eps):
         assert discrepancy_value(p, eps) >= target
 
 
-@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
-def test_root_evaluation_budget(monkeypatch, delta):
-    # 54 scalar evaluations for the plain bisection; Newton steps count too
+def _count_evaluations(monkeypatch):
     calls = []
     for name in ("discrepancy_value", "_phi_and_slope"):
         inner = getattr(discrepancy, name)
         monkeypatch.setattr(discrepancy, name,
                             lambda p, eps, inner=inner: calls.append(eps) or inner(p, eps))
+    return calls
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_root_evaluation_budget(monkeypatch, delta):
+    # 54 scalar evaluations for the plain bisection; Newton steps count too
+    calls = _count_evaluations(monkeypatch)
     prob = gaussian_blur_problem(64, 0.05)
     dec = decompose(prob.operator)
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, 7)))
@@ -349,3 +378,18 @@ def test_root_evaluation_budget(monkeypatch, delta):
     assert len(calls) <= 25
     assert iterations == 53
     assert (eps, achieved, iterations) == _bisection_reference(p, delta, 1.0)
+
+
+def test_near_flat_root_costs_no_more_than_the_bisection(monkeypatch):
+    # h is flat in ln eps at a target 1e-11 below ||f||: Newton would creep
+    # up to the root and certify too wide an interval to save any midpoints
+    lambdas = np.logspace(0, -8, 20)
+    g = np.random.default_rng(3).standard_normal(20)
+    p = DiscrepancyProfile(lambdas=lambdas, coefficients=g, null_mass=0.0,
+                           data_norm_sq=float(g @ g))
+    target = p.data_norm * (1.0 - 1e-11)
+    calls = _count_evaluations(monkeypatch)
+    eps, achieved, iterations = _epsilon_root(p, target, 1.0)
+    # the bisection evaluates the bracket's first end, each step, and the root
+    assert len(calls) <= iterations + 2
+    assert (eps, achieved, iterations) == _bisection_reference(p, target, 1.0)

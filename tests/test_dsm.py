@@ -308,6 +308,32 @@ class TestEvolveErrors:
         assert info.value.stage == "integration"
         assert len(info.value.trajectory) == 1
 
+    def test_rk_step_cap_stops_inside_the_loop(self, gauss32):
+        # ceil(5 / 3) = 2 steps pass the up-front check; the 512 report times need more
+        prob, dec = gauss32
+        cfg = DSMConfig(integrator="adaptive_runge_kutta", max_steps=2)
+        with pytest.raises(NumericalError, match="max_steps = 2 exceeded at t = ") as info:
+            evolve(dec, default_schedule(), prob.f_exact, 5.0, cfg)
+        assert info.value.stage == "integration"
+        partial = info.value.trajectory
+        assert partial.times[0] == 0.0
+        assert partial.times[-1] < 5.0
+
+    def test_rk_stops_on_a_non_finite_schedule(self, gauss32):
+        prob, dec = gauss32
+        cfg = DSMConfig(integrator="adaptive_runge_kutta")
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="integration diverged") as info:
+            evolve(dec, JumpSchedule(np.nan, 0.7), prob.f_exact, 50.0, cfg)
+        assert time.perf_counter() - start < 2.0
+        assert info.value.stage == "integration"
+        assert len(info.value.trajectory) == 1
+
+    def test_rk_tolerance_floor(self):
+        with pytest.raises(ConfigError, match="relative_tolerance"):
+            DSMConfig(integrator="adaptive_runge_kutta", relative_tolerance=1e-15)
+        DSMConfig(integrator="exponential_quadrature", relative_tolerance=1e-15)
+
     def test_nonpositive_horizon(self, gauss32):
         prob, dec = gauss32
         with pytest.raises(PreconditionError):
