@@ -86,11 +86,10 @@ def build_profile(dec: SpectralDecomposition, f_delta) -> DiscrepancyProfile:
     if f.shape[0] != dec.rows:
         raise DimensionMismatchError(
             f"data vector has length {f.shape[0]}, operator has {dec.rows} rows")
-    r = dec.numerical_rank
-    U = dec.left_vectors[:, :r]
+    U = dec.left_vectors
     g = U.T @ f
     remainder = f - U @ g
-    return DiscrepancyProfile(lambdas=dec.singular_values[:r] ** 2, coefficients=g,
+    return DiscrepancyProfile(lambdas=dec.singular_values ** 2, coefficients=g,
                               null_mass=float(remainder @ remainder),
                               data_norm_sq=float(f @ f))
 

@@ -33,7 +33,7 @@ from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
 from .errors import (ConfigError, DimensionMismatchError, IllposedError,
                      NumericalError, PreconditionError)
 from .operators import (SpectralDecomposition, _frozen, as_vector,
-                        project_range_closure)
+                        project_range_closure, regularized_normal_solve)
 from .schedule import Schedule
 
 INTEGRATORS = ("exponential_quadrature", "adaptive_runge_kutta")
@@ -182,10 +182,9 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     if not (t_end > 0 and math.isfinite(t_end)):
         raise PreconditionError(f"t_end must be positive and finite, got {t_end}")
     u0 = _initial_state(dec, cfg)
-    r = dec.numerical_rank
-    sg = dec.singular_values[:r] * profile.coefficients
+    sg = dec.singular_values * profile.coefficients
     times = _report_grid(t_end, cfg.trajectory_points)
-    zs = [dec.right_vectors[:, :r].T @ u0]
+    zs = [dec.right_vectors.T @ u0]
     integrate = (_evolve_exponential if cfg.integrator == "exponential_quadrature"
                  else _evolve_rk)
     try:
@@ -219,13 +218,12 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
             times, zs) -> Trajectory:
     """States u = V_r z + e^{-t} (u0 - V_r V_r^T u0) at ``times``, with the
     spectral residuals sqrt(sum_i (s_i z_i - g_i)^2 + null_mass)."""
-    r = dec.numerical_rank
-    V = dec.right_vectors[:, :r]
+    V = dec.right_vectors
     ts = np.asarray(times, dtype=float)
     z = np.asarray(zs, dtype=float)
     states = z @ V.T + np.exp(-ts)[:, None] * (u0 - V @ (V.T @ u0))
     states[0] = u0  # exactly, not its two parts summed with rounding
-    misfit = z * dec.singular_values[:r] - p.coefficients
+    misfit = z * dec.singular_values - p.coefficients
     residuals = np.sqrt(np.sum(misfit * misfit, axis=1) + p.null_mass)
     return Trajectory(times=ts, states=states, residual_norms=residuals)
 
@@ -418,17 +416,14 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     with _stage("integration"):
         if stopping.t_delta == 0.0:
             u0 = _initial_state(dec, cfg)
-            z0 = dec.right_vectors[:, :dec.numerical_rank].T @ u0
+            z0 = dec.right_vectors.T @ u0
             trajectory = _record(dec, profile, u0, [0.0], [z0])
         else:
             trajectory = evolve(dec, schedule, profile, stopping.t_delta, cfg)
 
     u_final = trajectory.states[-1]
     residual = float(trajectory.residual_norms[-1])
-    r = dec.numerical_rank
-    w_final = dec.right_vectors[:, :r] @ (
-        dec.singular_values[:r] * profile.coefficients
-        / (profile.lambdas + stopping.epsilon_star))
+    w_final = regularized_normal_solve(dec, stopping.epsilon_star, f_used)
 
     error = tikh_error = None
     if y_reference is not None:

@@ -23,6 +23,8 @@ from .operators import _frozen, as_vector
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCALAR_MAX_ITER = 600
+_GOLDEN_ITERS = 120
+_MAX_SWEEPS = 200
 _SCAN_EPS_MIN = 1e-14
 _SCAN_EPS_MAX = 1e12
 _SCAN_RATIO = 2.0
@@ -113,13 +115,15 @@ def _coordinate_lower_bound(xa: float, xb: float, phia: float, phib: float,
 
 
 def _certified_scalar_min(phi, g: float, eps: float, radius: float,
-                          budget: float) -> tuple[float, float, float]:
+                          budget: float) -> tuple[float, float]:
     """Golden-section minimization of (phi(x) - g)^2 + eps x^2 on [-radius, radius].
 
-    Returns (x_best, value, certificate).  The certificate bounds the gap
-    to the minimum over the bracket via the monotonicity of phi; it is a
-    rigorous global bound when the coordinate functional is unimodal on
-    the bracket, which holds for the shipped operator families.
+    Returns (x_best, certificate), once the certificate meets ``budget`` or
+    after _SCALAR_MAX_ITER steps, whichever comes first; the caller checks
+    it.  The certificate bounds the gap to the minimum over the bracket via
+    the monotonicity of phi; it is a rigorous global bound when the
+    coordinate functional is unimodal on the bracket, which holds for the
+    shipped operator families.
     """
 
     def point(x: float) -> tuple[float, float, float]:
@@ -134,9 +138,8 @@ def _certified_scalar_min(phi, g: float, eps: float, radius: float,
     best = min((a, b, c, d), key=lambda p: p[2])
 
     for _ in range(_SCALAR_MAX_ITER):
-        cert = best[2] - _coordinate_lower_bound(a[0], b[0], a[1], b[1], g, eps)
-        if cert <= budget:
-            return best[0], best[2], max(cert, 0.0)
+        if best[2] - _coordinate_lower_bound(a[0], b[0], a[1], b[1], g, eps) <= budget:
+            break
         if c[2] <= d[2]:
             b, d = d, c
             c = point(b[0] - _GOLDEN * (b[0] - a[0]))
@@ -147,12 +150,7 @@ def _certified_scalar_min(phi, g: float, eps: float, radius: float,
         if cand[2] < best[2]:
             best = cand
     cert = best[2] - _coordinate_lower_bound(a[0], b[0], a[1], b[1], g, eps)
-    raise _BudgetUnreachable(best[0], best[2], max(cert, 0.0))
-
-
-class _BudgetUnreachable(Exception):
-    def __init__(self, x, value, gap):
-        self.x, self.value, self.gap = x, value, gap
+    return best[0], max(cert, 0.0)
 
 
 def near_minimize(op: MonotoneOperator, f_delta, eps: float,
@@ -186,34 +184,29 @@ def _near_minimize_separable(op: SeparableMonotoneOperator, f: np.ndarray,
                              radius: float) -> NearMinimizer:
     n = op.dimension
     per_coord = gap_budget / n
-    u = np.empty(n)
+    u = np.zeros(n)
     total_cert = 0.0
-    try:
-        for i, phi in enumerate(op.phis):
-            x, _, cert = _certified_scalar_min(phi, f[i], eps, radius, per_coord)
-            u[i] = x
-            total_cert += cert
-    except _BudgetUnreachable as exc:
-        u[i] = exc.x
-        u[i + 1:] = 0.0
-        raise NumericalError(
-            f"near-minimization budget unreachable at coordinate {i}",
-            best=NearMinimizer(u=u, F_value=functional_F(op, f, eps, u),
-                               gap_certificate=total_cert + exc.gap,
-                               epsilon=eps, certified=False)) from None
+    for i, phi in enumerate(op.phis):
+        u[i], cert = _certified_scalar_min(phi, f[i], eps, radius, per_coord)
+        total_cert += cert
+        if cert > per_coord:
+            raise NumericalError(
+                f"near-minimization budget unreachable at coordinate {i}",
+                best=NearMinimizer(u=u, F_value=functional_F(op, f, eps, u),
+                                   gap_certificate=total_cert, epsilon=eps,
+                                   certified=False))
     return NearMinimizer(u=u, F_value=functional_F(op, f, eps, u),
                          gap_certificate=total_cert, epsilon=eps, certified=True)
 
 
 def _near_minimize_general(op: MonotoneOperator, f: np.ndarray, eps: float,
-                           gap_budget: float, radius: float,
-                           max_sweeps: int = 200) -> NearMinimizer:
+                           gap_budget: float, radius: float) -> NearMinimizer:
     n = op.dimension
     u = np.zeros(n)
     value = functional_F(op, f, eps, u)
     stop_gain = gap_budget / (10.0 * n)
     last_gain = math.inf
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         gain = 0.0
         for i in range(n):
             def slice_val(x: float, i=i) -> float:
@@ -237,11 +230,11 @@ def _near_minimize_general(op: MonotoneOperator, f: np.ndarray, eps: float,
                            epsilon=eps, certified=False))
 
 
-def _golden_scalar(fun, a: float, b: float, iters: int = 120) -> float:
+def _golden_scalar(fun, a: float, b: float) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -1,9 +1,9 @@
 """Dense linear operators over real finite-dimensional spaces.
 
 Provides the matrix-backed operator type, its singular-value
-decomposition, regularized normal-equation solves through two
-independent code paths, null-space projections, and a plain-text
-serialization format.
+decomposition cut at the numerical rank, regularized normal-equation
+solves through two independent code paths, null-space projections, and
+a plain-text serialization format.
 """
 
 from __future__ import annotations
@@ -84,24 +84,27 @@ class DenseOperator:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Thin SVD of a dense operator with a numerical-rank cutoff.
+    """The singular triplets of a dense operator above its rank cutoff.
 
-    ``singular_values`` are sorted descending; ``left_vectors`` (rows x k)
-    and ``right_vectors`` (cols x k) hold orthonormal columns with
-    k = min(rows, cols).  ``numerical_rank`` counts singular values above
-    ``rank_tolerance`` times the largest one.
+    ``singular_values`` (r of them, descending), ``left_vectors``
+    (rows x r) and ``right_vectors`` (cols x r, both with orthonormal
+    columns) hold only the r = ``numerical_rank`` triplets that
+    ``decompose`` retained.  Every stage reads these, so none can reach
+    the noise-level modes below the cutoff.
     """
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    rank_tolerance: float
-    numerical_rank: int
 
     def __post_init__(self):
         object.__setattr__(self, "singular_values", _frozen(self.singular_values))
         object.__setattr__(self, "left_vectors", _frozen(self.left_vectors))
         object.__setattr__(self, "right_vectors", _frozen(self.right_vectors))
+
+    @property
+    def numerical_rank(self) -> int:
+        return self.singular_values.size
 
     @property
     def rows(self) -> int:
@@ -112,7 +115,7 @@ class SpectralDecomposition:
         return self.right_vectors.shape[0]
 
     def apply(self, x) -> np.ndarray:
-        """Apply the reconstructed operator U diag(s) V^T to ``x``."""
+        """Apply the rank-r operator U_r diag(s) V_r^T to ``x``."""
         v = as_vector(x, "input vector")
         if v.shape[0] != self.cols:
             raise DimensionMismatchError(
@@ -120,7 +123,7 @@ class SpectralDecomposition:
         return self.left_vectors @ (self.singular_values * (self.right_vectors.T @ v))
 
     def adjoint_apply(self, y) -> np.ndarray:
-        """Apply V diag(s) U^T to ``y``."""
+        """Apply V_r diag(s) U_r^T to ``y``."""
         v = as_vector(y, "input vector")
         if v.shape[0] != self.rows:
             raise DimensionMismatchError(
@@ -142,7 +145,8 @@ def normalize(A: DenseOperator) -> tuple[DenseOperator, float]:
 
 def decompose(A: DenseOperator,
               rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> SpectralDecomposition:
-    """Compute the thin SVD of ``A`` with a relative rank cutoff."""
+    """Keep the singular triplets of ``A`` whose singular values exceed
+    ``rank_tolerance`` times the largest one."""
     if not 0.0 <= rank_tolerance < 1.0:
         raise PreconditionError(
             f"rank_tolerance must lie in [0, 1), got {rank_tolerance}")
@@ -151,20 +155,16 @@ def decompose(A: DenseOperator,
     U, s, Vt = np.linalg.svd(A.entries, full_matrices=False)
     sigma1 = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > rank_tolerance * sigma1))
-    return SpectralDecomposition(
-        singular_values=s,
-        left_vectors=U,
-        right_vectors=Vt.T,
-        rank_tolerance=float(rank_tolerance),
-        numerical_rank=rank,
-    )
+    return SpectralDecomposition(singular_values=s[:rank], left_vectors=U[:, :rank],
+                                 right_vectors=Vt[:rank].T)
 
 
 def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.ndarray:
-    """Solve (A^T A + eps I) w = A^T f through the spectral sum.
+    """Solve (A_r^T A_r + eps I) w = A_r^T f on the retained triplets.
 
-    Returns sum_i s_i (f . u_i) / (s_i^2 + eps) v_i, which is exact for
-    the thin SVD because A^T f has no component outside span(v_i).
+    Returns sum_{i <= r} s_i (f . u_i) / (s_i^2 + eps) v_i.  It differs
+    from the full solve only by the modes below the rank cutoff, whose
+    terms are at most s_i / eps times the data's component on u_i.
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
@@ -204,7 +204,7 @@ def project_range_closure(dec: SpectralDecomposition, f) -> tuple[np.ndarray, fl
     if v.shape[0] != dec.rows:
         raise DimensionMismatchError(
             f"data vector has length {v.shape[0]}, operator has {dec.rows} rows")
-    U = dec.left_vectors[:, :dec.numerical_rank]
+    U = dec.left_vectors
     proj = U @ (U.T @ v)
     d = v - proj
     return proj, float(d @ d)

@@ -55,11 +55,10 @@ def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestPr
     """Normalize, project the reference onto the numerical co-kernel, form data."""
     A, _ = normalize(DenseOperator(entries))
     dec = decompose(A)
-    r = dec.numerical_rank
-    V = dec.right_vectors[:, :r]
+    V = dec.right_vectors
     y = V @ (V.T @ y_raw)
     f = A.entries @ y
-    cond = float(dec.singular_values[0] / dec.singular_values[r - 1])
+    cond = float(dec.singular_values[0] / dec.singular_values[-1])
     return TestProblem(operator=A, f_exact=f, y_reference=y,
                        label=label, ill_posedness=cond)
 

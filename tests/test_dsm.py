@@ -10,7 +10,8 @@ from illposed import (ConfigError, DSMConfig, DenseOperator, NoiseSpec,
                       NumericalError, PowerLawSchedule, PreconditionError,
                       Schedule, add_noise, build_profile, decompose,
                       default_schedule, evolve, gaussian_blur_problem,
-                      identity_problem, regularized_normal_solve, run_dsm)
+                      identity_problem, project_range_closure,
+                      regularized_normal_solve, run_dsm)
 from illposed import dsm
 from illposed.dsm import _MAX_PANEL_WIDTH, _gap_integrals
 
@@ -531,6 +532,20 @@ class TestRunDSM:
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 3))
         res = run_dsm(dec, default_schedule(), f, 1e-2, store_trajectory=False)
         assert res.trajectory is None
+
+
+@pytest.mark.parametrize("delta, C, in_range", [(1e-2, 1.0, True), (1e-6, 1.0, True),
+                                                (1e-2, 1.5, False)])
+def test_w_final_is_the_regularized_solve(delta, C, in_range):
+    # one spectral core: run_dsm's equilibrium is regularized_normal_solve
+    # on the data it solved with, bit for bit
+    prob = gaussian_blur_problem(64, 0.05)
+    dec = decompose(prob.operator)
+    f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7, in_range_closure=in_range))
+    res = run_dsm(dec, default_schedule(), f, delta, C=C, store_trajectory=False)
+    f_used = project_range_closure(dec, f)[0] if C == 1.0 else f
+    assert np.array_equal(
+        res.w_final, regularized_normal_solve(dec, res.stopping.epsilon_star, f_used))
 
 
 class TestNullSpacePolicy:

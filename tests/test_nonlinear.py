@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ class TestNearMinimize:
             tuple((lambda x: x + np.tanh(x)) for _ in range(3)))
         ref = near_minimize(sep, f, 1e-3, 1e-10)
         assert nm.F_value <= ref.F_value + 1e-6
+
+    def test_unreachable_budget_fails_fast_with_the_best_point(self):
+        # a per-coordinate share far below rounding: coordinate 0 spends its
+        # step cap, and the later coordinates are never visited
+        op, f = cubic_separable_problem(3, 1.0, [1.0, -1.0, 0.5])
+        start = time.perf_counter()
+        with pytest.raises(NumericalError,
+                           match="budget unreachable at coordinate 0") as info:
+            near_minimize(op, f, 1e-3, gap_budget=1e-25)
+        assert time.perf_counter() - start < 1.0
+        best = info.value.best
+        assert np.array_equal(best.u[1:], [0.0, 0.0])
+        assert best.certified is False
+        assert best.gap_certificate > 1e-25
+        assert best.F_value == functional_F(op, f, 1e-3, best.u)
 
     def test_bad_budget(self):
         op, f, _ = cubic_op(2)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from illposed import (DenseOperator, DimensionMismatchError, PreconditionError,
-                      decompose, load_matrix, load_operator, load_vector,
-                      normalize, project_range_closure,
-                      regularized_normal_solve, regularized_normal_solve_direct,
-                      save_matrix, save_operator, save_vector)
+                      decompose, gaussian_blur_problem, load_matrix, load_operator,
+                      load_vector, normalize, project_range_closure,
+                      rank_deficient_problem, regularized_normal_solve,
+                      regularized_normal_solve_direct, save_matrix, save_operator,
+                      save_vector)
+from illposed.operators import DEFAULT_RANK_TOLERANCE
 
 
 def naive_matvec(M, x):
@@ -105,8 +107,9 @@ class TestDecompose:
 
     def test_rank_one(self):
         dec = decompose(DenseOperator(np.ones((2, 2))))
-        assert np.allclose(dec.singular_values, [2.0, 0.0], atol=1e-15)
+        assert np.allclose(dec.singular_values, [2.0], atol=1e-15)
         assert dec.numerical_rank == 1
+        assert dec.left_vectors.shape == dec.right_vectors.shape == (2, 1)
 
     def test_hilbert_vs_eigendecomposition(self):
         # eigenvalues of A^T A are the squared singular values; the eigen
@@ -136,6 +139,20 @@ class TestDecompose:
             lhs = M @ dec.right_vectors[:, i]
             rhs = dec.singular_values[i] * dec.left_vectors[:, i]
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * dec.singular_values[0]
+
+    @pytest.mark.parametrize("problem", [lambda: gaussian_blur_problem(64, 0.05),
+                                         lambda: rank_deficient_problem(12, 6, 5)],
+                             ids=["blur64", "rank_deficient12"])
+    def test_keeps_only_the_triplets_above_the_cutoff(self, problem):
+        A = problem().operator
+        dec = decompose(A)
+        r = dec.numerical_rank
+        assert dec.singular_values.shape == (r,)
+        assert dec.left_vectors.shape == (A.rows, r)
+        assert dec.right_vectors.shape == (A.cols, r)
+        assert np.all(dec.singular_values > DEFAULT_RANK_TOLERANCE * dec.singular_values[0])
+        s = np.linalg.svd(A.entries, compute_uv=False)
+        assert r == np.count_nonzero(s > DEFAULT_RANK_TOLERANCE * s[0]) < s.size
 
     def test_bad_tolerance(self):
         with pytest.raises(PreconditionError):
