@@ -6,6 +6,13 @@ Exit codes: 0 success, 2 config error, 3 precondition violation,
 4 numerical failure.  Artifacts embed a hash of the canonical config so
 every output names the inputs that produced it; apart from the measured
 ``wall_time_ms`` column, repeated runs are byte-identical.
+
+This module alone defines the artifact schema; the library's results carry
+data and no serialization.  ``cmd_solve`` builds ``results.json``,
+``cmd_check_schedule`` builds ``schedule_report.json``,
+``_write_trajectory_csv`` writes ``trajectory*.csv`` (t, residual_norm,
+error_vs_reference, then state_0 ... state_{n-1} for ``solve``), and
+``_write_csv`` writes the convergence, nonlinear and scan-trace tables.
 """
 
 from __future__ import annotations
@@ -193,16 +200,25 @@ def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
 
 
 def _write_trajectory_csv(path: Path, config_hash: str, trajectory, y_reference,
-                          include_state: bool = False) -> None:
-    """The trajectory as CSV, byte for byte what ``_write_csv`` would write:
-    its float cells need no quoting, so pre-rendered lines go out as they are."""
-    header, lines = trajectory.to_csv_lines(y_reference, include_state)
+                          include_state: bool) -> None:
+    """The trajectory as CSV: t, residual_norm, error_vs_reference, then the
+    state when ``include_state``.  Byte for byte what ``_write_csv`` would
+    write: every cell is a float at full round-trip precision, so none needs
+    quoting, and a line is the floats' reprs joined by commas."""
+    header = ["t", "residual_norm", "error_vs_reference"]
+    if include_state:
+        header.extend(f"state_{i}" for i in range(trajectory.states.shape[1]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         end = writer.dialect.lineterminator
-        fh.writelines(line + end for line in lines)
+        for t, res, state in zip(trajectory.times.tolist(),
+                                 trajectory.residual_norms.tolist(), trajectory.states):
+            row = [t, res, float(np.linalg.norm(state - y_reference))]
+            if include_state:  # a row at a time: the whole matrix as floats is MBs
+                row.extend(state.tolist())
+            fh.write(repr(row)[1:-1].replace(", ", ",") + end)
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
@@ -220,17 +236,24 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
     result = run_dsm(dec, cfg.schedule, f_delta, cfg.delta, cfg.C,
                      cfg.dsm_config, y_reference=prob.y_reference)
 
-    y_norm = float(np.linalg.norm(prob.y_reference))
-    payload = result.to_json_dict()
-    payload.update({
+    _write_json(out_dir / "results.json", {
         "config_hash": cfg.config_hash,
         "problem": prob.label,
         "delta": cfg.delta,
         "C": cfg.C,
-        "norm_ratio": float(np.linalg.norm(result.w_final)) / y_norm,
+        "epsilon_star": result.stopping.epsilon_star,
+        "t_delta": result.stopping.t_delta,
+        "achieved_discrepancy": result.stopping.achieved_discrepancy,
+        "iterations": result.stopping.iterations,
+        "residual": result.residual,
+        "projected_null_mass": result.projected_null_mass,
+        "error_vs_reference": result.error_vs_reference,
+        "tikhonov_error_vs_reference": result.tikhonov_error_vs_reference,
+        "norm_ratio": float(np.linalg.norm(result.w_final))
+                      / float(np.linalg.norm(prob.y_reference)),
+        "u_final": result.u_final.tolist(),
     })
-    _write_json(out_dir / "results.json", payload)
-    if store_trajectory and result.trajectory is not None:
+    if store_trajectory:
         _write_trajectory_csv(out_dir / "trajectory.csv", cfg.config_hash,
                               result.trajectory, prob.y_reference, include_state=True)
     if not quiet:
@@ -276,9 +299,9 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
             _fmt(elapsed),
             "",
         ])
-        if store_trajectory and result.trajectory is not None:
+        if store_trajectory:
             _write_trajectory_csv(out_dir / f"trajectory_{k}.csv", cfg.config_hash,
-                                  result.trajectory, y)
+                                  result.trajectory, y, include_state=False)
     _write_csv(out_dir / "convergence.csv", cfg.config_hash,
                CONVERGENCE_COLUMNS, rows)
     if not quiet:
@@ -327,15 +350,18 @@ def cmd_check_schedule(cfg: ExperimentConfig, out_dir: Path, store_trajectory: b
     t_grid = np.array([10.0, 100.0, 1000.0, 10000.0])
     report = cfg.schedule.admissibility_report(t_grid)
     r50 = float(np.exp(-50.0) / cfg.schedule.eval(50.0))
-    q_all_decreasing = bool(np.all(np.diff(report.q_values) < 0))
-    payload = report.to_json_dict()
-    payload.update({
+    _write_json(out_dir / "schedule_report.json", {
         "config_hash": cfg.config_hash,
-        "r_at_50": r50,
-        "q_decreasing_full_grid": q_all_decreasing,
         "schedule": {"c0": cfg.schedule.c0, "c1": cfg.schedule.c1, "b": cfg.schedule.b},
+        "t_grid": report.t_grid.tolist(),
+        "q_values": report.q_values.tolist(),
+        "r_values": report.r_values.tolist(),
+        "q_tail_decreasing": report.q_tail_decreasing,
+        "r_tail_decreasing": report.r_tail_decreasing,
+        "admissible": report.admissible,
+        "q_decreasing_full_grid": bool(np.all(np.diff(report.q_values) < 0)),
+        "r_at_50": r50,
     })
-    _write_json(out_dir / "schedule_report.json", payload)
     # the decay conditions are asymptotic; the gate is the tail behavior,
     # full-grid monotonicity stays informational (transients near t ~ c0
     # are legitimate for b close to 1)

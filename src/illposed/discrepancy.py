@@ -274,14 +274,6 @@ class StoppingResult:
     achieved_discrepancy: float
     iterations: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon_star": self.epsilon_star,
-            "t_delta": self.t_delta,
-            "achieved_discrepancy": self.achieved_discrepancy,
-            "iterations": self.iterations,
-        }
-
 
 def stopping_time(schedule: Schedule, epsilon_star: float, *,
                   achieved_discrepancy: float = math.nan,

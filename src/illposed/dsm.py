@@ -105,28 +105,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def to_csv_lines(self, y_reference=None, include_state: bool = False):
-        """Header and CSV lines for export: t, residual_norm, then the
-        reference error when a reference is supplied, then optionally the
-        full state.  Every cell is a float at full round-trip precision, so
-        none needs quoting and a line is the floats' reprs joined by commas."""
-        header = ["t", "residual_norm"]
-        y = None
-        if y_reference is not None:
-            y = as_vector(y_reference, "reference solution")
-            header.append("error_vs_reference")
-        if include_state:
-            header.extend(f"state_{i}" for i in range(self.states.shape[1]))
-        lines = []
-        for i, (t, res) in enumerate(zip(self.times.tolist(), self.residual_norms.tolist())):
-            row = [t, res]
-            if y is not None:
-                row.append(float(np.linalg.norm(self.states[i] - y)))
-            if include_state:  # a row at a time: the whole matrix as floats is MBs
-                row.extend(self.states[i].tolist())
-            lines.append(repr(row)[1:-1].replace(", ", ","))
-        return header, lines
-
 
 @dataclass(frozen=True, eq=False)
 class DSMResult:
@@ -134,34 +112,23 @@ class DSMResult:
 
     ``w_final`` is the regularized normal-equation solution at the
     stopping regularization strength (the equilibrium the evolution
-    tracks); the reference-error fields are filled when the true
-    solution is known.
+    tracks); ``trajectory`` is the path from 0 to the stopping time
+    (the start state alone when that time is 0); the reference-error
+    fields are filled when the true solution is known.
     """
 
     stopping: StoppingResult
     u_final: np.ndarray
     residual: float
     w_final: np.ndarray
+    trajectory: Trajectory
     error_vs_reference: float | None = None
     tikhonov_error_vs_reference: float | None = None
     projected_null_mass: float = 0.0
-    trajectory: Trajectory | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u_final", _frozen(self.u_final))
         object.__setattr__(self, "w_final", _frozen(self.w_final))
-
-    def to_json_dict(self, include_solution: bool = True) -> dict:
-        out = self.stopping.to_json_dict()
-        out.update({
-            "residual": self.residual,
-            "projected_null_mass": self.projected_null_mass,
-            "error_vs_reference": self.error_vs_reference,
-            "tikhonov_error_vs_reference": self.tikhonov_error_vs_reference,
-        })
-        if include_solution:
-            out["u_final"] = [float(x) for x in self.u_final]
-        return out
 
 
 def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
@@ -389,7 +356,7 @@ def _evolve_rk(schedule, sg, lam, times, cfg, zs) -> None:
 
 def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
             delta: float, C: float = 1.0, cfg: DSMConfig | None = None,
-            y_reference=None, store_trajectory: bool = True) -> DSMResult:
+            y_reference=None) -> DSMResult:
     """Full pipeline: profile, discrepancy root, stopping time, evolution.
 
     On C = 1 runs against a rank-deficient operator the data must be
@@ -432,10 +399,9 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
         tikh_error = float(np.linalg.norm(w_final - y))
 
     return DSMResult(stopping=stopping, u_final=u_final, residual=residual,
-                     w_final=w_final, error_vs_reference=error,
+                     w_final=w_final, trajectory=trajectory, error_vs_reference=error,
                      tikhonov_error_vs_reference=tikh_error,
-                     projected_null_mass=projected_null,
-                     trajectory=trajectory if store_trajectory else None)
+                     projected_null_mass=projected_null)
 
 
 class _stage:

@@ -114,22 +114,6 @@ class SpectralDecomposition:
     def cols(self) -> int:
         return self.right_vectors.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        """Apply the rank-r operator U_r diag(s) V_r^T to ``x``."""
-        v = as_vector(x, "input vector")
-        if v.shape[0] != self.cols:
-            raise DimensionMismatchError(
-                f"apply: vector has length {v.shape[0]}, operator has {self.cols} columns")
-        return self.left_vectors @ (self.singular_values * (self.right_vectors.T @ v))
-
-    def adjoint_apply(self, y) -> np.ndarray:
-        """Apply V_r diag(s) U_r^T to ``y``."""
-        v = as_vector(y, "input vector")
-        if v.shape[0] != self.rows:
-            raise DimensionMismatchError(
-                f"adjoint_apply: vector has length {v.shape[0]}, operator has {self.rows} rows")
-        return self.right_vectors @ (self.singular_values * (self.left_vectors.T @ v))
-
 
 def normalize(A: DenseOperator) -> tuple[DenseOperator, float]:
     """Rescale ``A`` so its largest singular value is 1.
@@ -180,7 +164,10 @@ def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.nd
 def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarray:
     """Solve (A^T A + eps I) w = A^T f by a dense Cholesky factorization.
 
-    Independent of the spectral path; the two must agree to 1e-9 relative.
+    Independent of the spectral path.  The two differ by rounding that the
+    condition number of A^T A + eps I, about 1/eps for a normalized A,
+    magnifies: their relative gap grows like 1e-16 / eps (2.7e-9 at
+    eps = 1.1e-7 on blur n = 256).
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")

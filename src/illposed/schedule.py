@@ -82,16 +82,6 @@ class AdmissibilityReport:
     r_tail_decreasing: bool
     admissible: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t_grid": [float(t) for t in self.t_grid],
-            "q_values": [float(q) for q in self.q_values],
-            "r_values": [float(r) for r in self.r_values],
-            "q_tail_decreasing": self.q_tail_decreasing,
-            "r_tail_decreasing": self.r_tail_decreasing,
-            "admissible": self.admissible,
-        }
-
 
 @dataclass(frozen=True)
 class PowerLawSchedule(Schedule):

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from illposed import Trajectory
+from illposed import (NoiseSpec, Trajectory, add_noise, decompose, default_schedule,
+                      gaussian_blur_problem, run_dsm)
 from illposed.cli import (CONVERGENCE_COLUMNS, EXIT_CONFIG, EXIT_OK,
                           EXIT_PRECONDITION, NONLINEAR_COLUMNS,
                           _write_trajectory_csv, load_config, main)
@@ -32,24 +33,22 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-@pytest.mark.parametrize("with_reference, include_state",
-                         [(True, True), (True, False), (False, True), (False, False)])
-def test_trajectory_csv_matches_csv_writer(tmp_path, with_reference, include_state):
+# the ids keep their (with_reference, include_state) form, so that test
+# histories keep matching; the reference column is always written
+@pytest.mark.parametrize("include_state", [True, False], ids=["True-True", "True-False"])
+def test_trajectory_csv_matches_csv_writer(tmp_path, include_state):
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-8]
     states = np.array([special[k:] + special[:k] for k in range(3)])
     traj = Trajectory(times=np.array([0.0, 5e-324, 1e300]),
                       residual_norms=np.array([np.nan, -0.0, np.inf]), states=states)
-    y = np.linspace(-1.0, 1.0, len(special)) if with_reference else None
+    y = np.linspace(-1.0, 1.0, len(special))
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, include_state)
 
-    header = ["t", "residual_norm"]
-    header += ["error_vs_reference"] if with_reference else []
+    header = ["t", "residual_norm", "error_vs_reference"]
     header += [f"state_{i}" for i in range(len(special))] if include_state else []
     rows = []
     for t, res, state in zip(traj.times, traj.residual_norms, states):
-        row = [repr(float(t)), repr(float(res))]
-        if with_reference:
-            row.append(repr(float(np.linalg.norm(state - y))))
+        row = [repr(float(t)), repr(float(res)), repr(float(np.linalg.norm(state - y)))]
         if include_state:
             row += [repr(float(v)) for v in state]
         rows.append(row)
@@ -59,6 +58,23 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, with_reference, include_sta
     writer.writerow(header)
     writer.writerows(rows)
     assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def blur_solve(tmp_path_factory):
+    """``solve --store-trajectory`` on seeded blur n = 64, its artifacts and a
+    direct ``run_dsm`` on the same inputs."""
+    tmp_path = tmp_path_factory.mktemp("blur")
+    path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": 64, "width": 0.05},
+                        delta=1e-2, seed=7)
+    assert main(["solve", "--config", str(path), "--quiet", "--store-trajectory"]) == EXIT_OK
+    result = json.loads((tmp_path / "out" / "results.json").read_text())
+    rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    prob = gaussian_blur_problem(64, 0.05)
+    dec = decompose(prob.operator)
+    f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
+    direct = run_dsm(dec, default_schedule(), f, 1e-2, y_reference=prob.y_reference)
+    return result, rows, direct
 
 
 class TestSolve:
@@ -79,6 +95,29 @@ class TestSolve:
             "problem", "projected_null_mass", "residual", "t_delta",
             "tikhonov_error_vs_reference", "u_final",
         ]
+
+    def test_results_json_matches_run_dsm(self, blur_solve):
+        result, _, direct = blur_solve
+        stopping = direct.stopping
+        assert result["epsilon_star"] == stopping.epsilon_star
+        assert result["t_delta"] == stopping.t_delta
+        assert result["achieved_discrepancy"] == stopping.achieved_discrepancy
+        assert result["iterations"] == stopping.iterations
+        assert result["residual"] == direct.residual
+        assert result["u_final"] == direct.u_final.tolist()
+
+    def test_trajectory_csv_rows(self, blur_solve):
+        result, rows, direct = blur_solve
+        body = rows[1:]
+        assert len(body) == len(direct.trajectory)
+        assert float(body[0][0]) == 0.0
+        # full round-trip precision
+        assert float(body[-1][1]) == result["residual"] == direct.residual
+
+    def test_trajectory_header_with_states(self, blur_solve):
+        _, rows, _ = blur_solve
+        assert rows[0] == ["t", "residual_norm", "error_vs_reference"] + [
+            f"state_{i}" for i in range(64)]
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "hilbert", "n": 6},
@@ -156,6 +195,15 @@ class TestConvergence:
         assert all("null-space component" in row[-1] for row in body)
         assert all(row[1] == "" for row in body)
 
+    def test_trajectory_header_without_states(self, tmp_path):
+        path = write_config(tmp_path, problem={"name": "hilbert", "n": 6},
+                            delta_sequence=[1e-1, 1e-2, 1e-3], seed=4)
+        assert main(["convergence", "--config", str(path), "--quiet",
+                     "--store-trajectory"]) == EXIT_OK
+        for k in range(3):
+            rows = read_csv(tmp_path / "out" / f"trajectory_{k}.csv")
+            assert rows[0] == ["t", "residual_norm", "error_vs_reference"]
+
     def test_needs_three_deltas(self, tmp_path):
         path = write_config(tmp_path, delta_sequence=[1e-1, 1e-2])
         assert main(["convergence", "--config", str(path), "--quiet"]) == EXIT_CONFIG
@@ -211,6 +259,16 @@ class TestCheckSchedule:
         assert report["admissible"]
         assert report["r_at_50"] < 1e-15
         assert report["q_decreasing_full_grid"]
+
+    def test_schedule_report_json_schema_pinned(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["check-schedule", "--config", str(path), "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "schedule_report.json").read_text())
+        assert sorted(report.keys()) == [
+            "admissible", "config_hash", "q_decreasing_full_grid",
+            "q_tail_decreasing", "q_values", "r_at_50", "r_tail_decreasing",
+            "r_values", "schedule", "t_grid",
+        ]
 
     def test_b_near_one(self, tmp_path):
         path = write_config(tmp_path, schedule={"c0": 1.0, "c1": 1.0, "b": 0.99})

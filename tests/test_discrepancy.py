@@ -184,13 +184,6 @@ class TestStoppingTime:
         assert abs(res.achieved_discrepancy - 0.2) <= 1e-10 * diag_profile.data_norm
         assert res.iterations > 0
 
-    def test_json_round_trip(self, diag_profile):
-        import json
-        res = stop_from_profile(diag_profile, default_schedule(), 0.2, 1.0)
-        payload = json.loads(json.dumps(res.to_json_dict()))
-        assert payload["epsilon_star"] == res.epsilon_star
-        assert payload["t_delta"] == res.t_delta
-
 
 def test_bisection_deterministic(diag_profile):
     a = solve_for_epsilon(diag_profile, 0.2, 1.0)
