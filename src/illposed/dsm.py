@@ -9,16 +9,21 @@ so both integrators evolve the r-vector z, reading s, g and the null mass
 from the data's DiscrepancyProfile, and map back with u = V_r z only at
 report times; the part of the start state outside span(V_r) decays as
 e^{-t}.  Two independent integrators act as mutual oracles: an exponential
-integrator that evaluates the variation-of-constants form
+integrator built on the variation-of-constants form
 
-    z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau
+    z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau,
 
-with Gauss-Legendre panels refined in array rounds, and scipy's RK45
-Dormand-Prince 5(4) pair with step-size control, the cross-check oracle.
-The gap integrals do not depend on z, so the exponential route integrates
-consecutive gaps in groups, a few array rounds per group, and then chains
-z across the group.  It works in shifted exponents per gap, so stopping
-times far beyond the underflow horizon of e^{-t} are handled exactly.
+and scipy's RK45 Dormand-Prince 5(4) pair with step-size control, the
+cross-check oracle.  Once b is past the e^{-tau} window plus the largest
+Gauss-Laguerre node (about 112), z(b) is e^{-b} z(0) plus the integral over
+[0, inf) to rounding: the tracking of w(eps(t)).  The exponential route
+takes it from a 16-node Gauss-Laguerre rule, with no chaining, wherever the
+8-node rule agrees within the gap tolerance.  Earlier times, and late times
+whose estimate misses, take the gap integral from Gauss-Legendre panels
+refined in array rounds and chain z from the previous time; the gap
+integrals do not depend on z, so consecutive gaps are integrated in groups.
+It works in shifted exponents per gap, so stopping times far beyond the
+underflow horizon of e^{-t} are handled exactly.
 """
 
 from __future__ import annotations
@@ -53,6 +58,14 @@ _RK_MIN_RTOL = 100 * np.finfo(float).eps
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 _GL_NODES = (_GL_X + 1.0) / 2.0
 _GL_WEIGHTS = _GL_W / 2.0
+
+# The 16- and 8-node Gauss-Laguerre rules, nodes side by side.  A report time
+# is late once it is past the window plus the largest node, so no node reaches
+# back into the first _WINDOW of the schedule, where eps may fall fast.
+_LG16_X, _LG16_W = np.polynomial.laguerre.laggauss(16)
+_LG8_X, _LG8_W = np.polynomial.laguerre.laggauss(8)
+_LG_NODES = np.concatenate([_LG16_X, _LG8_X])
+_LATE_TIME = _WINDOW + _LG16_X[-1]
 
 # Null-space data below this relative mass counts as numerical dust and is
 # projected away on C = 1 runs; anything larger is a genuine violation of
@@ -198,26 +211,47 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
 def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
     """Append z at each report time after the first to ``zs``.
 
-    A gap's integral does not depend on the state, so consecutive gaps are
-    integrated together in groups, and z is then chained across the group.
-    A group closes before its round 0 (three evaluations per top-level
-    panel) would pass 2 * _ROUND_PANELS, the size of a later round.
+    A late time b, past _LATE_TIME, takes z(b) = e^{-b} z(0) plus the 16-node
+    Gauss-Laguerre integral, unchained, when the 8-node rule agrees within
+    the gap tolerance; late times are ruled in blocks whose r x times x 24
+    node array is no larger than a panel round's.  Every other gap takes its
+    integral from ``_gap_integrals``, in groups that close before their round
+    0 (three evaluations per top-level panel) would pass 2 * _ROUND_PANELS,
+    and z is chained across the group.  ``max_steps`` is charged in
+    report-time order, a block's rows (one per time) before its groups.
     """
     a, b = times[:-1], times[1:]
     round0 = 3 * _top_panels(np.minimum(b - a, _WINDOW))
+    block = max(1, 2 * _ROUND_PANELS * _GL_NODES.size // _LG_NODES.size)
+    # each gap's integral, or its ruled z; z is chained in place, so the
+    # states in zs are its rows
+    addend = np.empty((b.size, sg.size))
+    ruled = np.zeros(b.size, dtype=bool)
+    # the gaps before ``ready`` are early, or late with their rows evaluated
+    ready = int(np.searchsorted(b, _LATE_TIME, side="right"))
     budget = cfg.max_steps
     z = zs[0]
     start = 0
-    while start < a.size:
-        stop = start + max(1, int(np.searchsorted(
-            np.cumsum(round0[start:]), 2 * _ROUND_PANELS, side="right")))
+    while start < b.size:
+        if start == ready:
+            ready = start + min(block, b.size - start, budget)
+            if ready == start:
+                raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {a[start]}")
+            values, ruled[start:ready] = _laguerre_integrals(schedule, sg, lam, b[start:ready], cfg)
+            addend[start:ready] = values.T + np.exp(-b[start:ready])[:, None] * zs[0]
+            budget -= ready - start
+        cost = np.cumsum(np.where(ruled[start:ready], 0, round0[start:ready]))
+        stop = start + max(1, int(np.searchsorted(cost, 2 * _ROUND_PANELS, side="right")))
+        gaps = start + np.flatnonzero(~ruled[start:stop])
         integrals, panels, failure = _gap_integrals(
-            schedule, sg, lam, a[start:stop], b[start:stop], cfg, budget)
+            schedule, sg, lam, a[gaps], b[gaps], cfg, budget)
+        addend[gaps] = integrals.T
         budget -= int(panels.sum())
-        done = stop - start if failure is None else failure[0]
-        for j in range(done):
-            z = math.exp(-(b[start + j] - a[start + j])) * z + integrals[:, j]
-            if not np.all(np.isfinite(z)):
+        for j in range(start, stop if failure is None else gaps[failure[0]]):
+            if not ruled[j]:
+                addend[j] += math.exp(-(b[j] - a[j])) * z
+            z = addend[j]
+            if not np.isfinite(z).all():
                 raise NumericalError("integration diverged")
             zs.append(z)
         if failure is not None:
@@ -225,8 +259,27 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
         start = stop
 
 
+def _laguerre_integrals(schedule, sg, lam, b: np.ndarray,
+                        cfg: DSMConfig) -> tuple[np.ndarray, np.ndarray]:
+    """integral_0^inf e^{-tau} w(b - tau) dtau at each late time b by the
+    16-node Gauss-Laguerre rule, as the columns of an r x times array, and
+    whether the 8-node rule agrees with it within the time's tolerance."""
+    eps = np.asarray(schedule.eval(b[:, None] - _LG_NODES), dtype=float)
+    w = lam[:, None, None] + eps
+    np.divide(sg[:, None, None], w, out=w)  # in place: w is the block's largest array
+    q16 = np.einsum("ipk,k->ip", w[:, :, :16], _LG16_W)
+    q8 = np.einsum("ipk,k->ip", w[:, :, 16:], _LG8_W)
+    return q16, np.linalg.norm(q16 - q8, axis=0) <= _tolerance(schedule, sg, lam, b, cfg)
+
+
 def _top_panels(window: np.ndarray) -> np.ndarray:
     return np.maximum(1, np.ceil(window / _MAX_PANEL_WIDTH)).astype(int)
+
+
+def _tolerance(schedule, sg, lam, b: np.ndarray, cfg: DSMConfig) -> np.ndarray:
+    """max(atol, rtol ||w(b)||) for each time b."""
+    scale = np.linalg.norm(sg[:, None] / (lam[:, None] + schedule.eval(b)), axis=0)
+    return np.maximum(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
 
 
 def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, cfg: DSMConfig,
@@ -247,8 +300,7 @@ def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, cfg: DSMConf
     to the front.
     """
     window = np.minimum(b - a, _WINDOW)
-    scale = np.linalg.norm(sg[:, None] / (lam[:, None] + schedule.eval(b)), axis=0)
-    tol = np.maximum(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
+    tol = _tolerance(schedule, sg, lam, b, cfg)
     n_top = _top_panels(window)
     gap = np.repeat(np.arange(b.size), n_top)
     pos = np.arange(gap.size) - np.repeat(np.cumsum(n_top) - n_top, n_top)

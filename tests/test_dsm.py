@@ -10,8 +10,8 @@ from illposed import (ConfigError, DSMConfig, DenseOperator, NoiseSpec,
                       NumericalError, PowerLawSchedule, PreconditionError,
                       Schedule, add_noise, build_profile, decompose,
                       default_schedule, evolve, gaussian_blur_problem,
-                      identity_problem, project_range_closure,
-                      regularized_normal_solve, run_dsm)
+                      hilbert_problem, identity_problem, project_range_closure,
+                      rank_deficient_problem, regularized_normal_solve, run_dsm)
 from illposed import dsm
 from illposed.dsm import _MAX_PANEL_WIDTH, _gap_integrals
 
@@ -191,7 +191,7 @@ def _reference_gaps(schedule, sg, lam, times, rel_tol):
 
 def _blur_coefficients(dec, prob):
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
-    return dec.singular_values[:dec.numerical_rank] * p.coefficients, p.lambdas
+    return dec.singular_values * p.coefficients, p.lambdas
 
 
 @pytest.mark.parametrize("schedule, a, b, rel_tol, deep", [
@@ -242,13 +242,197 @@ def test_final_state_matches_per_mode_quadrature_at_the_stopping_time(delta):
     s = default_schedule()
     res = run_dsm(dec, s, f, delta)
     t = res.stopping.t_delta
-    r = dec.numerical_rank
     p = build_profile(dec, f)
     z = [quad(lambda tau, sg=sg, lam=lam: math.exp(-tau) * sg / (lam + s.eval(t - tau)),
               0.0, 60.0, epsabs=0.0, epsrel=1e-13)[0]
-         for sg, lam in zip(dec.singular_values[:r] * p.coefficients, p.lambdas)]
-    u = dec.right_vectors[:, :r] @ np.array(z)
+         for sg, lam in zip(dec.singular_values * p.coefficients, p.lambdas)]
+    u = dec.right_vectors @ np.array(z)
     assert np.linalg.norm(res.u_final - u) <= 1e-10 * np.linalg.norm(u)
+
+
+def _panel_only_trajectory(dec, schedule, profile, t_end, cfg=DSMConfig()):
+    """Reference for the exponential integrator's late-time rule: the
+    panel-only chaining it replaced.  Every gap's integral comes from
+    ``_gap_integrals``, in groups whose round 0 (3 evaluations per top-level
+    panel) fits 2 * _ROUND_PANELS evaluations, and z is chained gap by gap
+    from a zero start.  Returns the trajectory up to the earliest failing
+    gap, and the failure message or None."""
+    sg, lam = dec.singular_values * profile.coefficients, profile.lambdas
+    times = dsm._report_grid(t_end, cfg.trajectory_points)
+    a, b = times[:-1], times[1:]
+    round0 = 3 * np.maximum(1, np.ceil(np.minimum(b - a, 60.0) / _MAX_PANEL_WIDTH))
+    zs = [np.zeros(dec.numerical_rank)]
+    budget, start, message = cfg.max_steps, 0, None
+    while start < b.size and message is None:
+        stop = start + max(1, int(np.searchsorted(
+            np.cumsum(round0[start:]), 2 * dsm._ROUND_PANELS, side="right")))
+        integrals, panels, failure = _gap_integrals(
+            schedule, sg, lam, a[start:stop], b[start:stop], cfg, budget)
+        budget -= int(panels.sum())
+        done = stop - start if failure is None else failure[0]
+        message = failure and failure[1]
+        for j in range(done):
+            zs.append(math.exp(-(b[start + j] - a[start + j])) * zs[-1] + integrals[:, j])
+        start = stop
+    return dsm._record(dec, profile, np.zeros(dec.cols), times[:len(zs)], zs), message
+
+
+def _count_panel_gaps(monkeypatch):
+    """The number of gaps ``evolve`` integrates by panel rounds, as a list of one."""
+    gaps = [0]
+    original = dsm._gap_integrals
+
+    def counted(schedule, sg, lam, a, b, *args):
+        gaps[0] += b.size
+        return original(schedule, sg, lam, a, b, *args)
+    monkeypatch.setattr(dsm, "_gap_integrals", counted)
+    return gaps
+
+
+def _assert_states_agree(traj, reference, rel_tol):
+    assert np.array_equal(traj.times, reference.times)
+    err = np.linalg.norm(traj.states - reference.states, axis=1)
+    assert np.all(err <= rel_tol * np.linalg.norm(reference.states, axis=1))
+
+
+def _early_gaps(traj):
+    return int(np.sum(traj.times[1:] <= dsm._LATE_TIME))
+
+
+@pytest.mark.parametrize("n, delta", [(64, 1e-2), (64, 1e-4), (64, 1e-6), (256, 1e-2)])
+def test_late_times_match_the_panel_only_path_at_the_stopping_time(monkeypatch, n, delta):
+    # the four CLI solve inputs of the benchmark; 321 to 433 of the 511 gaps
+    # end past _LATE_TIME, and every one of them takes the Laguerre rule
+    prob = gaussian_blur_problem(n, 0.05)
+    dec = decompose(prob.operator)
+    f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7))
+    s = default_schedule()
+    gaps = _count_panel_gaps(monkeypatch)
+    res = run_dsm(dec, s, f, delta)
+    assert 321 <= 511 - gaps[0] <= 433
+    assert gaps[0] == _early_gaps(res.trajectory)
+    profile = build_profile(dec, project_range_closure(dec, f)[0])
+    reference, failure = _panel_only_trajectory(dec, s, profile, res.stopping.t_delta)
+    assert failure is None
+    _assert_states_agree(res.trajectory, reference, 1e-14)
+
+
+@pytest.fixture(scope="module")
+def evolve_inputs():
+    out = {}
+    for name, prob in (("hilbert8", hilbert_problem(8)),
+                       ("blur32", gaussian_blur_problem(32, 0.05)),
+                       ("rank_deficient10x5", rank_deficient_problem(10, 5, 3))):
+        dec = decompose(prob.operator)
+        out[name] = dec, build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-3, 7)))
+    return out
+
+
+@pytest.mark.parametrize("t_end", [3.0, 1e3, 1e7])
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("schedule", [default_schedule(), PowerLawSchedule(1e-3, 1e-3, 0.9),
+                                      PowerLawSchedule(1e-4, 1e-2, 0.99)],
+                         ids=["default", "steep_0.9", "steep_0.99"])
+@pytest.mark.parametrize("problem", ["hilbert8", "blur32", "rank_deficient10x5"])
+def test_late_times_match_the_panel_only_path(evolve_inputs, monkeypatch, problem, schedule,
+                                              rel_tol, t_end):
+    dec, profile = evolve_inputs[problem]
+    cfg = DSMConfig(relative_tolerance=rel_tol)
+    reference, failure = _panel_only_trajectory(dec, schedule, profile, t_end, cfg)
+    assert failure is None
+    gaps = _count_panel_gaps(monkeypatch)
+    traj = evolve(dec, schedule, profile, t_end, cfg)
+    assert gaps[0] == _early_gaps(traj) == {3.0: 511, 1e3: 349, 1e7: 150}[t_end]
+    _assert_states_agree(traj, reference, 1e-14)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("jump", [500.0, 700.0, 900.0])
+def test_late_times_near_a_jump_fall_back_to_panels(gauss32, monkeypatch, jump, rel_tol):
+    # eps drops from 1 to 1e-3 at the jump: a late time whose Laguerre nodes
+    # straddle it misses the 8/16-node estimate and takes panels, chained
+    # from the previous time.  At 900 a panel cannot converge on either path.
+    prob, dec = gauss32
+    profile = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
+    s = StepSchedule([1.0, 1e-3], [jump])
+    cfg = DSMConfig(relative_tolerance=rel_tol, absolute_tolerance=1e-300)
+    reference, message = _panel_only_trajectory(dec, s, profile, 1e3, cfg)
+    assert (message is None) == (jump < 900.0)
+    gaps = _count_panel_gaps(monkeypatch)
+    if message is None:
+        traj = evolve(dec, s, profile, 1e3, cfg)
+    else:
+        with pytest.raises(NumericalError, match="not converged after 30 bisections") as info:
+            evolve(dec, s, profile, 1e3, cfg)
+        assert str(info.value) == message
+        traj = info.value.trajectory
+        assert len(traj) == 504
+    assert gaps[0] > _early_gaps(traj)
+    _assert_states_agree(traj, reference, rel_tol)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_final_state_meets_the_tracking_bound_at_the_stopping_time(delta):
+    # (u - w)' = -(u - w) - w' gives ||u(t) - w(t)|| <= e^{-t} ||u0 - w(0)||
+    # + sup_{t-60<=s<=t} ||w'(s)|| + e^{-60} sup_{s<=t} ||w'(s)||, with
+    # w_i' = -eps' s_i g_i / (lambda_i + eps)^2.  |eps'| and eps both fall,
+    # so |eps'(lo)| ||s g / (lambda + eps(t))^2|| bounds the sup over [lo, t].
+    # At t_delta (3.2e5, 2.9e9, 2.6e13) ||u - w|| ~ ||w'(t)|| is within
+    # 3e-4 of the bound, or below rounding.
+    prob = gaussian_blur_problem(64, 0.05)
+    dec = decompose(prob.operator)
+    f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7))
+    s = default_schedule()
+    t = run_dsm(dec, s, f, delta).stopping.t_delta
+    p = build_profile(dec, f)
+    sg, lam = dec.singular_values * p.coefficients, p.lambdas
+    u = evolve(dec, s, p, t).states[-1]
+    w = dec.right_vectors @ (sg / (lam + s.eval(t)))
+    w0 = dec.right_vectors @ (sg / (lam + s.eval(0.0)))
+
+    def sup_w_prime(lo):
+        return abs(s.derivative(lo)) * np.linalg.norm(sg / (lam + s.eval(t)) ** 2)
+    bound = math.exp(-t) * np.linalg.norm(w0) + sup_w_prime(t - 60.0) \
+        + math.exp(-60.0) * sup_w_prime(0.0)
+    # u and w are both computed as n-term products with V_r
+    rounding = dec.cols * np.finfo(float).eps * np.linalg.norm(w)
+    assert np.linalg.norm(u - w) <= bound + rounding
+
+
+def test_late_times_keep_the_decay_of_a_huge_start_state():
+    # past _LATE_TIME the e^{-b} z(0) term is still visible when z(0) ~ 1e60:
+    # u(t) = e^{-t} u0 + (1 - e^{-t}) w under a frozen eps
+    prob = identity_problem(3)
+    dec = decompose(prob.operator)
+    u0 = np.array([1e60, -2e60, 3e60])
+    w = regularized_normal_solve(dec, 0.5, prob.f_exact)
+    traj = evolve(dec, ConstantSchedule(0.5), prob.f_exact, 150.0,
+                  DSMConfig(initial_state=u0))
+    assert np.sum(traj.times > dsm._LATE_TIME) == 31
+    exact = np.exp(-traj.times)[:, None] * u0 + (1.0 - np.exp(-traj.times))[:, None] * w
+    err = np.linalg.norm(traj.states - exact, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(exact, axis=1))
+
+
+def test_late_time_blocks_peak_no_higher_than_the_panel_only_path():
+    # both paths end in the same 512 x 256 state matrix, so the blocks must
+    # not lift the peak above it; each path runs once untraced, to warm up
+    prob = gaussian_blur_problem(256, 0.05)
+    dec = decompose(prob.operator)
+    f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
+    s = default_schedule()
+    t = run_dsm(dec, s, f, 1e-2).stopping.t_delta
+    p = build_profile(dec, f)
+    peaks = []
+    for integrate in (_panel_only_trajectory, evolve):
+        integrate(dec, s, p, t)
+        tracemalloc.start()
+        try:
+            integrate(dec, s, p, t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 class TestEvolveErrors:
@@ -351,12 +535,13 @@ class TestFailuresAcrossGroups:
 
     @staticmethod
     def _count_panels(monkeypatch):
-        """Panels evaluated in all, and in the largest round."""
+        """Quadrature rows evaluated in all, and in the largest round or block."""
         evaluated = [0, 0]
         original = PowerLawSchedule.eval
 
         def counted(schedule, t):
-            if np.ndim(t) == 2:  # quadrature nodes, one row of 7 per panel
+            # quadrature nodes: one row of 7 per panel, of 24 per late time
+            if np.ndim(t) == 2:
                 evaluated[0] += np.shape(t)[0]
                 evaluated[1] = max(evaluated[1], np.shape(t)[0])
             return original(schedule, t)
@@ -366,21 +551,26 @@ class TestFailuresAcrossGroups:
     @pytest.mark.parametrize("round_panels", [None, 1])
     def test_max_steps_is_charged_exactly_and_never_passed(self, gauss32, monkeypatch,
                                                            round_panels):
-        # 39 gaps in four groups, or one gap per group
+        # 39 gaps: 20 early ones in groups (or one gap per group) take
+        # panels, 19 late ones a Laguerre row each (in blocks of 149, or of 1)
         if round_panels:
             monkeypatch.setattr(dsm, "_ROUND_PANELS", round_panels)
         prob, dec = gauss32
         s, t_end = default_schedule(), 1e4
         cfg = DSMConfig(trajectory_points=40)
         sg, lam = _blur_coefficients(dec, prob)
-        needed = sum(n for _, n in _reference_gaps(
-            s, sg, lam, dsm._report_grid(t_end, 40), cfg.relative_tolerance))
+        times = dsm._report_grid(t_end, 40)
+        late = int(np.sum(times > dsm._LATE_TIME))
+        assert late == 19
+        needed = late + sum(n for _, n in _reference_gaps(
+            s, sg, lam, times[:-late], cfg.relative_tolerance))
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
         evaluated = self._count_panels(monkeypatch)
         evolve(dec, s, f, t_end, DSMConfig(trajectory_points=40, max_steps=needed))
         assert evaluated[0] == needed
         # a round holds at most 2 * _ROUND_PANELS evaluations, or one gap's
-        # round 0: 3 per top-level panel of a window of 60
+        # round 0: 3 per top-level panel of a window of 60; a block of late
+        # times at most as many nodes: 2 * _ROUND_PANELS * 7 / 24 rows
         assert evaluated[1] <= max(2 * dsm._ROUND_PANELS, 90)
         for max_steps in (3, needed // 3, needed - 1):
             evaluated[0] = 0
@@ -393,6 +583,8 @@ class TestFailuresAcrossGroups:
             partial = info.value.trajectory
             assert partial.times[-1] == t_fail < t_end
             assert info.value.stage == "integration"
+        # charged in report-time order: one row short, only the last time is missed
+        assert t_fail == times[-2]
 
     @pytest.mark.parametrize("round_panels", [None, 1])
     @pytest.mark.parametrize("late_jump", [0.8, 0.9])
