@@ -201,8 +201,11 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
     V = dec.right_vectors
     ts = np.asarray(times, dtype=float)
     z = np.asarray(zs, dtype=float)
-    states = z @ V.T + np.exp(-ts)[:, None] * (u0 - V @ (V.T @ u0))
+    states, decay, perp = z @ V.T, np.exp(-ts), u0 - V @ (V.T @ u0)
+    for i in range(0, ts.size, 64):  # in place: no second points x n array
+        states[i:i + 64] += decay[i:i + 64, None] * perp
     states[0] = u0  # exactly, not its two parts summed with rounding
+    states.setflags(write=False)  # so Trajectory keeps it without a copy
     misfit = z * dec.singular_values - p.coefficients
     residuals = np.sqrt(np.sum(misfit * misfit, axis=1) + p.null_mass)
     return Trajectory(times=ts, states=states, residual_norms=residuals)
@@ -223,9 +226,6 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
     a, b = times[:-1], times[1:]
     round0 = 3 * _top_panels(np.minimum(b - a, _WINDOW))
     block = max(1, 2 * _ROUND_PANELS * _GL_NODES.size // _LG_NODES.size)
-    # each gap's integral, or its ruled z; z is chained in place, so the
-    # states in zs are its rows
-    addend = np.empty((b.size, sg.size))
     ruled = np.zeros(b.size, dtype=bool)
     # the gaps before ``ready`` are early, or late with their rows evaluated
     ready = int(np.searchsorted(b, _LATE_TIME, side="right"))
@@ -238,19 +238,18 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
             if ready == start:
                 raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {a[start]}")
             values, ruled[start:ready] = _laguerre_integrals(schedule, sg, lam, b[start:ready], cfg)
-            addend[start:ready] = values.T + np.exp(-b[start:ready])[:, None] * zs[0]
+            # the block's ruled z, from gap ``top`` on; its rows go into zs
+            late, top = values.T + np.exp(-b[start:ready])[:, None] * zs[0], start
             budget -= ready - start
         cost = np.cumsum(np.where(ruled[start:ready], 0, round0[start:ready]))
         stop = start + max(1, int(np.searchsorted(cost, 2 * _ROUND_PANELS, side="right")))
         gaps = start + np.flatnonzero(~ruled[start:stop])
         integrals, panels, failure = _gap_integrals(
             schedule, sg, lam, a[gaps], b[gaps], cfg, budget)
-        addend[gaps] = integrals.T
         budget -= int(panels.sum())
+        chained = iter(integrals.T)  # z is chained across the unruled gaps
         for j in range(start, stop if failure is None else gaps[failure[0]]):
-            if not ruled[j]:
-                addend[j] += math.exp(-(b[j] - a[j])) * z
-            z = addend[j]
+            z = late[j - top] if ruled[j] else next(chained) + math.exp(-(b[j] - a[j])) * z
             if not np.isfinite(z).all():
                 raise NumericalError("integration diverged")
             zs.append(z)

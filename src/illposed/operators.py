@@ -1,9 +1,9 @@
 """Dense linear operators over real finite-dimensional spaces.
 
-Provides the matrix-backed operator type, its singular-value
-decomposition cut at the numerical rank, regularized normal-equation
-solves through two independent code paths, null-space projections, and
-a plain-text serialization format.
+Provides the matrix-backed operator type, its singular-value decomposition
+cut at the numerical rank, regularized normal-equation solves through two
+independent code paths (the second, a test oracle, loads scipy), null-space
+projections, and a plain-text serialization format.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, PreconditionError
 
@@ -32,29 +31,31 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+    """``a`` if it is a read-only float array owning its data, else a read-only float copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=float, copy=True)
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Real matrix acting between finite-dimensional spaces.
 
-    ``entries`` is stored as a read-only copy; the operator is immutable
-    after construction and safe to share across threads.
+    ``entries`` is stored read-only, by ``_frozen``; the operator is
+    immutable after construction and safe to share across threads.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float, copy=True)
+        arr = _frozen(self.entries)
         if arr.ndim != 2 or arr.size == 0:
             raise DimensionMismatchError(
                 f"operator entries must form a nonempty matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise PreconditionError("operator entries must be finite")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -164,11 +165,12 @@ def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.nd
 def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarray:
     """Solve (A^T A + eps I) w = A^T f by a dense Cholesky factorization.
 
-    Independent of the spectral path.  The two differ by rounding that the
-    condition number of A^T A + eps I, about 1/eps for a normalized A,
-    magnifies: their relative gap grows like 1e-16 / eps (2.7e-9 at
-    eps = 1.1e-7 on blur n = 256).
+    A test oracle that no production path calls, independent of the
+    spectral path.  The two differ by rounding that the condition number
+    of A^T A + eps I, about 1/eps for a normalized A, magnifies: their
+    relative gap grows like 1e-16 / eps (2.7e-9 at eps = 1.1e-7, blur n = 256).
     """
+    import scipy.linalg  # here: at module level it doubles the library's import time
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     v = as_vector(f, "data vector")

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, PreconditionError
 from .nonlinear import SeparableMonotoneOperator
@@ -76,7 +75,7 @@ def hilbert_problem(n: int) -> TestProblem:
     """Hilbert matrix instance, a classically ill-conditioned dense kernel."""
     if not 2 <= n <= 64:
         raise PreconditionError(f"n must lie in [2, 64], got {n}")
-    H = scipy.linalg.hilbert(n)
+    H = 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n)))
     y = np.ones(n) / math.sqrt(n)
     return _finish_linear(H, y, f"hilbert(n={n})")
 

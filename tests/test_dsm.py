@@ -235,19 +235,50 @@ def test_gap_integral_matches_recursive_reference(gauss32, monkeypatch, schedule
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
 def test_final_state_matches_per_mode_quadrature_at_the_stopping_time(delta):
     # t_delta is 3.2e5, 2.9e9 and 2.6e13; z(t) = int_0^t e^{-tau} w(t - tau)
-    # dtau, whose part beyond tau = 60 is below 1e-26 relative
+    # dtau, whose part beyond tau = 60 is below 1e-26 relative.  The profile
+    # is that of the range-projected data run_dsm integrates (blur n = 64
+    # keeps 51 of 64 triplets, so C = 1 projects): the raw data's profile
+    # differs by rounding relative to ||f||, and puts the gap at 3.9e-15 to
+    # 2.3e-13 instead of 2.7e-16 to 4.8e-16, which the bound keeps 20x under
     prob = gaussian_blur_problem(64, 0.05)
     dec = decompose(prob.operator)
     f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7))
     s = default_schedule()
     res = run_dsm(dec, s, f, delta)
     t = res.stopping.t_delta
-    p = build_profile(dec, f)
+    p = build_profile(dec, project_range_closure(dec, f)[0])
     z = [quad(lambda tau, sg=sg, lam=lam: math.exp(-tau) * sg / (lam + s.eval(t - tau)),
               0.0, 60.0, epsabs=0.0, epsrel=1e-13)[0]
          for sg, lam in zip(dec.singular_values * p.coefficients, p.lambdas)]
     u = dec.right_vectors @ np.array(z)
-    assert np.linalg.norm(res.u_final - u) <= 1e-10 * np.linalg.norm(u)
+    assert np.linalg.norm(res.u_final - u) <= 1e-14 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_record_builds_states_without_a_second_full_array(start):
+    # blur n = 256 keeps r = 53 triplets: the states are 512 x 256 (1 MB) and
+    # z, copied from its list of rows, is 0.2 MB; a full-size temporary for
+    # u0's part, or a frozen copy of the states, would pass 2.2x on its own
+    prob = gaussian_blur_problem(256, 0.05)
+    dec = decompose(prob.operator)
+    p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
+    times = dsm._report_grid(1e4, 512)
+    rng = np.random.default_rng(3)
+    zs = list(rng.standard_normal((times.size, dec.numerical_rank)))
+    u0 = np.zeros(dec.cols) if start == "zero" else rng.standard_normal(dec.cols)
+    tracemalloc.start()
+    try:
+        traj = dsm._record(dec, p, u0, times, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (512, 256)
+    assert peak <= 2.2 * traj.states.nbytes
+    # the same bits as the one-expression sum, signed zeros included
+    V = dec.right_vectors
+    expected = np.asarray(zs) @ V.T + np.exp(-times)[:, None] * (u0 - V @ (V.T @ u0))
+    expected[0] = u0
+    assert np.array_equal(traj.states.view(np.int64), expected.view(np.int64))
 
 
 def _panel_only_trajectory(dec, schedule, profile, t_end, cfg=DSMConfig()):

@@ -22,6 +22,24 @@ def naive_matvec(M, x):
     return np.array(out)
 
 
+class TestStorage:
+    def test_entries_are_a_read_only_copy_of_writable_or_borrowed_data(self):
+        M = np.eye(3)
+        view = M[:, :2]
+        view.setflags(write=False)  # read-only, but M can still write it
+        ops = [DenseOperator(data) for data in (M, view, M.tolist())]
+        M[0, 0] = 5.0
+        for A in ops:
+            assert not A.entries.flags.writeable
+            assert A.entries[0, 0] == 1.0
+
+    def test_read_only_float_data_it_owns_is_kept(self):
+        M = np.eye(3)
+        M.setflags(write=False)
+        assert DenseOperator(M).entries is M
+        assert DenseOperator(M.astype(np.float32)).entries.dtype == float
+
+
 class TestApply:
     def test_identity(self):
         A = DenseOperator(np.eye(2))

@@ -6,6 +6,7 @@ from illposed import (NoiseSpec, PreconditionError, add_noise, build_profile,
                       check_monotonicity, cubic_separable_problem, decompose,
                       gaussian_blur_problem, hilbert_problem, identity_problem,
                       rank_deficient_problem)
+from illposed import problems
 
 
 def problem_invariants(prob, rank_deficient=False):
@@ -26,6 +27,17 @@ class TestHilbert:
         scale = np.linalg.norm(scipy.linalg.hilbert(2), 2)
         assert np.allclose(prob.operator.entries * scale,
                            [[1.0, 0.5], [0.5, 1.0 / 3.0]], rtol=1e-14)
+
+    def test_unnormalized_matrix_is_scipys_bit_for_bit(self, monkeypatch):
+        entries = []
+        finish = problems._finish_linear
+        monkeypatch.setattr(problems, "_finish_linear",
+                            lambda H, *args: entries.append(H) or finish(H, *args))
+        for n in range(2, 65):
+            hilbert_problem(n)
+            expected = scipy.linalg.hilbert(n)
+            assert entries[-1].dtype == expected.dtype
+            assert np.array_equal(entries[-1].view(np.int64), expected.view(np.int64))
 
     def test_condition_number_n5(self):
         assert hilbert_problem(5).ill_posedness > 1e4
