@@ -31,7 +31,6 @@ import numpy as np
 from .dsm import DSMConfig, run_dsm
 from .errors import ConfigError, IllposedError, NumericalError, PreconditionError
 from .nonlinear import nonlinear_discrepancy_result
-from .operators import decompose
 from .problems import (NoiseSpec, TestProblem, add_noise, cubic_separable_problem,
                        gaussian_blur_problem, hilbert_problem, identity_problem,
                        rank_deficient_problem)
@@ -221,20 +220,23 @@ def _write_trajectory_csv(path: Path, config_hash: str, trajectory, y_reference,
             fh.write(repr(row)[1:-1].replace(", ", ",") + end)
 
 
+def _noisy_run(cfg: ExperimentConfig, prob: TestProblem, delta: float, seed: int):
+    """``run_dsm`` on the problem's spectrum, with its exact data noised by
+    ``NoiseSpec(delta, seed)`` unless the config turns noise off."""
+    dec, f_delta = prob.decomposition, prob.f_exact
+    if cfg.noise:
+        f_delta = add_noise(f_delta, dec, NoiseSpec(delta, seed, cfg.in_range_closure))
+    return run_dsm(dec, cfg.schedule, f_delta, delta, cfg.C, cfg.dsm_config,
+                   y_reference=prob.y_reference)
+
+
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
               quiet: bool) -> int:
     if cfg.delta is None:
         raise ConfigError('solve needs a single "delta" field in the config')
     prob = build_linear_problem(cfg)
     _check_deltas([cfg.delta], prob.f_exact)
-    dec = decompose(prob.operator)
-    if cfg.noise:
-        f_delta = add_noise(prob.f_exact, dec,
-                            NoiseSpec(cfg.delta, cfg.seed, cfg.in_range_closure))
-    else:
-        f_delta = prob.f_exact
-    result = run_dsm(dec, cfg.schedule, f_delta, cfg.delta, cfg.C,
-                     cfg.dsm_config, y_reference=prob.y_reference)
+    result = _noisy_run(cfg, prob, cfg.delta, cfg.seed)
 
     _write_json(out_dir / "results.json", {
         "config_hash": cfg.config_hash,
@@ -268,7 +270,6 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
         raise ConfigError("convergence needs a delta_sequence of length >= 3")
     prob = build_linear_problem(cfg)
     _check_deltas(cfg.delta_sequence, prob.f_exact)
-    dec = decompose(prob.operator)
     y = prob.y_reference
     y_norm = float(np.linalg.norm(y))
 
@@ -276,13 +277,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
     for k, delta in enumerate(cfg.delta_sequence):
         started = time.perf_counter()
         try:
-            if cfg.noise:
-                f_delta = add_noise(prob.f_exact, dec,
-                                    NoiseSpec(delta, cfg.seed + k, cfg.in_range_closure))
-            else:
-                f_delta = prob.f_exact
-            result = run_dsm(dec, cfg.schedule, f_delta, delta, cfg.C,
-                             cfg.dsm_config, y_reference=y)
+            result = _noisy_run(cfg, prob, delta, cfg.seed + k)
         except IllposedError as exc:
             elapsed = 1000.0 * (time.perf_counter() - started)
             rows.append([_fmt(delta), "", "", "", "", "", "", _fmt(elapsed), str(exc)])

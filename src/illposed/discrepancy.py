@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, PreconditionError
-from .operators import SpectralDecomposition, as_vector, _frozen
+from .operators import SpectralDecomposition, _data_vector, _frozen
 from .schedule import Schedule
 
 _BRACKET_RTOL = 1e-13
@@ -82,10 +82,7 @@ def build_profile(dec: SpectralDecomposition, f_delta) -> DiscrepancyProfile:
     ||f||^2 - sum(betas): that difference is cancellation noise of about
     1e-14 ||f||^2, which biases the root once (C delta)^2 falls near it.
     """
-    f = as_vector(f_delta, "data vector")
-    if f.shape[0] != dec.rows:
-        raise DimensionMismatchError(
-            f"data vector has length {f.shape[0]}, operator has {dec.rows} rows")
+    f = _data_vector(f_delta, dec.rows)
     U = dec.left_vectors
     g = U.T @ f
     remainder = f - U @ g

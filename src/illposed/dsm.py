@@ -263,12 +263,13 @@ def _laguerre_integrals(schedule, sg, lam, b: np.ndarray,
     """integral_0^inf e^{-tau} w(b - tau) dtau at each late time b by the
     16-node Gauss-Laguerre rule, as the columns of an r x times array, and
     whether the 8-node rule agrees with it within the time's tolerance."""
+    tol = _tolerance(schedule, sg, lam, b, cfg)  # before w: its temporaries would add to w
     eps = np.asarray(schedule.eval(b[:, None] - _LG_NODES), dtype=float)
     w = lam[:, None, None] + eps
     np.divide(sg[:, None, None], w, out=w)  # in place: w is the block's largest array
     q16 = np.einsum("ipk,k->ip", w[:, :, :16], _LG16_W)
     q8 = np.einsum("ipk,k->ip", w[:, :, 16:], _LG8_W)
-    return q16, np.linalg.norm(q16 - q8, axis=0) <= _tolerance(schedule, sg, lam, b, cfg)
+    return q16, np.linalg.norm(q16 - q8, axis=0) <= tol
 
 
 def _top_panels(window: np.ndarray) -> np.ndarray:
@@ -331,6 +332,7 @@ def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, cfg: DSMConf
         w = lam[:, None, None] + eps
         np.divide(sg[:, None, None], w, out=w)  # in place: w is the round's largest array
         values = np.einsum("ipk,pk->ip", w, _GL_WEIGHTS * width * np.exp(-tau))
+        del w  # so the round's smaller arrays below do not add to its peak
         left, right, whole = np.split(values, [k, 2 * k], axis=1)
         coarse = whole if coarse is None else coarse
         fine = left + right

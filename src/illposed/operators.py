@@ -30,6 +30,15 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _data_vector(f, rows: int) -> np.ndarray:
+    """``f`` as a finite data vector, checked against an operator's ``rows``."""
+    v = as_vector(f, "data vector")
+    if v.shape[0] != rows:
+        raise DimensionMismatchError(
+            f"data vector has length {v.shape[0]}, operator has {rows} rows")
+    return v
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` if it is a read-only float array owning its data, else a read-only float copy."""
     if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
@@ -153,10 +162,7 @@ def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.nd
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    v = as_vector(f, "data vector")
-    if v.shape[0] != dec.rows:
-        raise DimensionMismatchError(
-            f"data vector has length {v.shape[0]}, operator has {dec.rows} rows")
+    v = _data_vector(f, dec.rows)
     s = dec.singular_values
     coef = s * (dec.left_vectors.T @ v)
     return dec.right_vectors @ (coef / (s * s + eps))
@@ -173,10 +179,7 @@ def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarr
     import scipy.linalg  # here: at module level it doubles the library's import time
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    v = as_vector(f, "data vector")
-    if v.shape[0] != A.rows:
-        raise DimensionMismatchError(
-            f"data vector has length {v.shape[0]}, operator has {A.rows} rows")
+    v = _data_vector(f, A.rows)
     B = A.entries.T @ A.entries + eps * np.eye(A.cols)
     rhs = A.entries.T @ v
     c, low = scipy.linalg.cho_factor(B)
@@ -189,10 +192,7 @@ def project_range_closure(dec: SpectralDecomposition, f) -> tuple[np.ndarray, fl
     Returns the projection together with the squared norm of the
     discarded component (the data's mass in the null space of A^T).
     """
-    v = as_vector(f, "data vector")
-    if v.shape[0] != dec.rows:
-        raise DimensionMismatchError(
-            f"data vector has length {v.shape[0]}, operator has {dec.rows} rows")
+    v = _data_vector(f, dec.rows)
     U = dec.left_vectors
     proj = U @ (U.T @ v)
     d = v - proj

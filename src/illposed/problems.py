@@ -26,13 +26,15 @@ from .operators import (DenseOperator, SpectralDecomposition, _frozen, as_vector
 
 @dataclass(frozen=True, eq=False)
 class TestProblem:
-    """An operator, exact data, and the minimal-norm solution it came from."""
+    """An operator, exact data, the minimal-norm solution it came from, and
+    ``decomposition = decompose(operator)``, taken once by the generator."""
 
     operator: DenseOperator
     f_exact: np.ndarray
     y_reference: np.ndarray
     label: str
     ill_posedness: float
+    decomposition: SpectralDecomposition
 
     def __post_init__(self):
         object.__setattr__(self, "f_exact", _frozen(self.f_exact))
@@ -59,7 +61,7 @@ def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestPr
     f = A.entries @ y
     cond = float(dec.singular_values[0] / dec.singular_values[-1])
     return TestProblem(operator=A, f_exact=f, y_reference=y,
-                       label=label, ill_posedness=cond)
+                       label=label, ill_posedness=cond, decomposition=dec)
 
 
 def identity_problem(n: int) -> TestProblem:
@@ -67,8 +69,9 @@ def identity_problem(n: int) -> TestProblem:
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
     y = np.ones(n) / math.sqrt(n)
-    return TestProblem(operator=DenseOperator(np.eye(n)), f_exact=y.copy(),
-                       y_reference=y, label=f"identity(n={n})", ill_posedness=1.0)
+    A = DenseOperator(np.eye(n))
+    return TestProblem(operator=A, f_exact=y.copy(), y_reference=y, label=f"identity(n={n})",
+                       ill_posedness=1.0, decomposition=decompose(A))
 
 
 def hilbert_problem(n: int) -> TestProblem:
@@ -113,10 +116,10 @@ def rank_deficient_problem(n: int, r: int, seed: int) -> TestProblem:
     c = rng.standard_normal(r)
     y = V[:, :r] @ c
     y /= np.linalg.norm(y)
-    f = entries @ y
-    return TestProblem(operator=DenseOperator(entries), f_exact=f, y_reference=y,
+    A = DenseOperator(entries)
+    return TestProblem(operator=A, f_exact=entries @ y, y_reference=y,
                        label=f"rank_deficient(n={n},r={r},seed={seed})",
-                       ill_posedness=float(sigma[0] / sigma[-1]))
+                       ill_posedness=float(sigma[0] / sigma[-1]), decomposition=decompose(A))
 
 
 def _orthonormal(M: np.ndarray) -> np.ndarray:

@@ -18,7 +18,10 @@ from .errors import ConfigError, NumericalError, PreconditionError
 
 
 class Schedule(abc.ABC):
-    """Positive, strictly decreasing regularization strength eps(t)."""
+    """Positive, strictly decreasing and continuous regularization strength eps(t).
+
+    Continuity is not checked: a jump closer to a report time than the
+    integrator's nearest node there (0.0876 past t = 111.7) goes undetected."""
 
     @abc.abstractmethod
     def eval(self, t):

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from illposed import decompose, gaussian_blur_problem, hilbert_problem
+from illposed import gaussian_blur_problem, hilbert_problem
 
 
 @pytest.fixture(scope="session")
 def hilbert8():
     prob = hilbert_problem(8)
-    return prob, decompose(prob.operator)
+    return prob, prob.decomposition
 
 
 @pytest.fixture(scope="session")
 def gauss32():
     prob = gaussian_blur_problem(32, 0.05)
-    return prob, decompose(prob.operator)
+    return prob, prob.decomposition
 
 
 @pytest.fixture

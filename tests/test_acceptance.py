@@ -62,7 +62,7 @@ def random_problem(rng, trial):
 def blur_convergence_rows():
     """Seven noise levels on the n=64 blur problem, shared by criteria 4 and 5."""
     prob = gaussian_blur_problem(64, 0.05)
-    dec = decompose(prob.operator)
+    dec = prob.decomposition
     s = default_schedule()
     rows = []
     started = time.perf_counter()
@@ -118,17 +118,17 @@ def test_criterion_03_monotonicity_and_limits():
         dec_id = decompose(DenseOperator(np.eye(3)))
         profiles.append((build_profile(dec_id, [0.6, 0.64, 0.48]), True))
         rd = rank_deficient_problem(10, 5, 1)
-        dec_rd = decompose(rd.operator)
+        dec_rd = rd.decomposition
         f_rd = add_noise(rd.f_exact, dec_rd, NoiseSpec(1e-2, 5, in_range_closure=False))
         profiles.append((build_profile(dec_rd, f_rd), True))
         # severely ill-posed instances: retained spectrum reaches below the
         # 1e-14 probe, so only the grid monotonicity and the upper limit apply
         hb = hilbert_problem(8)
-        dec_hb = decompose(hb.operator)
+        dec_hb = hb.decomposition
         profiles.append((build_profile(
             dec_hb, add_noise(hb.f_exact, dec_hb, NoiseSpec(1e-2, 5))), False))
         gb = gaussian_blur_problem(32, 0.05)
-        dec_gb = decompose(gb.operator)
+        dec_gb = gb.decomposition
         profiles.append((build_profile(
             dec_gb, add_noise(gb.f_exact, dec_gb, NoiseSpec(1e-2, 5))), False))
 
@@ -161,7 +161,7 @@ def test_criterion_05_norm_bound(blur_convergence_rows):
         for row in rows:
             assert row["w_norm"] <= y_norm * (1.0 + 1e-10)
         prob = hilbert_problem(8)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         y_norm_h = float(np.linalg.norm(prob.y_reference))
         for k, delta in enumerate((1e-1, 1e-2, 1e-3)):
             f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 300 + k))
@@ -188,7 +188,7 @@ class _Frozen(Schedule):
 def test_criterion_06_integrator_cross_validation():
     with criterion(6, "exponential quadrature vs adaptive Runge-Kutta"):
         prob = gaussian_blur_problem(32, 0.05)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
         s = default_schedule()
         u_exp = evolve(dec, s, f, 50.0,
@@ -223,7 +223,7 @@ def test_criterion_08_null_space_handling():
         # a precondition of the discrepancy equation; eps(0) = 2 leaves
         # headroom for the large-delta stopping point
         prob = rank_deficient_problem(12, 6, 1)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         s = PowerLawSchedule(c0=1.0, c1=2.0, b=0.5)
         errors = {}
         for delta in (1e-1, 1e-2, 1e-3, 1e-4):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from illposed import (NoiseSpec, Trajectory, add_noise, decompose, default_schedule,
+from illposed import (NoiseSpec, Trajectory, add_noise, default_schedule,
                       gaussian_blur_problem, run_dsm)
 from illposed.cli import (CONVERGENCE_COLUMNS, EXIT_CONFIG, EXIT_OK,
                           EXIT_PRECONDITION, NONLINEAR_COLUMNS,
@@ -71,10 +71,30 @@ def blur_solve(tmp_path_factory):
     result = json.loads((tmp_path / "out" / "results.json").read_text())
     rows = read_csv(tmp_path / "out" / "trajectory.csv")
     prob = gaussian_blur_problem(64, 0.05)
-    dec = decompose(prob.operator)
+    dec = prob.decomposition
     f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
     direct = run_dsm(dec, default_schedule(), f, 1e-2, y_reference=prob.y_reference)
     return result, rows, direct
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("solve", {"delta": 1e-2}),
+    ("convergence", {"delta_sequence": [1e-2, 1e-3, 1e-4]}),
+])
+def test_one_spectral_decomposition_per_command(tmp_path, monkeypatch, command, fields):
+    # normalize's SVD plus the generator's decompose; the commands read the
+    # problem's own decomposition instead of taking a third
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": 64, "width": 0.05},
+                        seed=7, **fields)
+    assert main([command, "--config", str(path), "--quiet"]) == EXIT_OK
+    assert calls == [False, True]
 
 
 class TestSolve:

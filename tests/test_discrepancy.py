@@ -168,7 +168,7 @@ class TestStoppingTime:
 
     def test_t_delta_increases_as_delta_shrinks(self):
         prob = rank_deficient_problem(10, 5, 3)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         s = default_schedule()
         previous = -1.0
         for k, delta in enumerate([1e-1, 1e-2, 1e-3]):
@@ -289,7 +289,7 @@ class TestRootMatchesBisection:
     @pytest.mark.parametrize("C", [1.0, 1.5])
     def test_blur(self, n, C):
         prob = gaussian_blur_problem(n, 0.05)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
             for seed in range(4):
                 p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, seed)))
@@ -365,7 +365,7 @@ def test_root_evaluation_budget(monkeypatch, delta):
     # 54 scalar evaluations for the plain bisection; Newton steps count too
     calls = _count_evaluations(monkeypatch)
     prob = gaussian_blur_problem(64, 0.05)
-    dec = decompose(prob.operator)
+    dec = prob.decomposition
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, 7)))
     eps, achieved, iterations = _epsilon_root(p, delta, 1.0)
     assert len(calls) <= 25

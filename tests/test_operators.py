@@ -208,7 +208,7 @@ class TestRegularizedSolve:
         # condition number ~1/eps of A^T A + eps I (measured: 5.5e-14 at
         # n = 64, delta = 1e-2 up to 2.7e-9 at n = 256, delta = 1e-6)
         prob = gaussian_blur_problem(n, 0.05)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7))
         eps = solve_for_epsilon(build_profile(dec, f), delta, 1.0)
         w1 = regularized_normal_solve(dec, eps, f)

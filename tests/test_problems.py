@@ -15,7 +15,7 @@ def problem_invariants(prob, rank_deficient=False):
     A = prob.operator.entries
     resid = np.linalg.norm(A @ prob.y_reference - prob.f_exact)
     assert resid <= 1e-12 * np.linalg.norm(prob.f_exact)
-    null = np.linalg.svd(A)[2][decompose(prob.operator).numerical_rank:].T
+    null = np.linalg.svd(A)[2][prob.decomposition.numerical_rank:].T
     assert bool(null.shape[1]) == rank_deficient
     if null.shape[1]:
         assert np.max(np.abs(null.T @ prob.y_reference)) <= 1e-10
@@ -64,7 +64,7 @@ class TestGaussianBlur:
         prob = gaussian_blur_problem(64, 0.05)
         s = np.linalg.svd(prob.operator.entries, compute_uv=False)
         assert np.min(s) < 1e-12 * s[0]
-        assert decompose(prob.operator).numerical_rank < 64
+        assert prob.decomposition.numerical_rank < 64
 
     def test_invariants(self):
         # n = 32 keeps all 32 triplets at width 0.05; n = 64 keeps 51 of 64
@@ -85,7 +85,7 @@ class TestGaussianBlur:
 class TestRankDeficient:
     def test_numerical_rank(self):
         prob = rank_deficient_problem(12, 6, 5)
-        assert decompose(prob.operator).numerical_rank == 6
+        assert prob.decomposition.numerical_rank == 6
 
     def test_reference_in_row_space(self):
         prob = rank_deficient_problem(10, 4, 5)
@@ -94,7 +94,7 @@ class TestRankDeficient:
 
     def test_null_component_detected(self):
         prob = rank_deficient_problem(8, 3, 5)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         spoiled = prob.f_exact + 0.05 * np.linalg.svd(prob.operator.entries)[0][:, 5]
         assert build_profile(dec, spoiled).null_mass > 1e-4
 
@@ -159,13 +159,13 @@ class TestNoise:
 
     def test_in_range_noise_has_no_null_mass(self):
         prob = rank_deficient_problem(12, 6, 5)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7, in_range_closure=True))
         assert build_profile(dec, f).null_mass <= 1e-20
 
     def test_out_of_range_noise_has_null_mass(self):
         prob = rank_deficient_problem(12, 6, 5)
-        dec = decompose(prob.operator)
+        dec = prob.decomposition
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7, in_range_closure=False))
         assert build_profile(dec, f).null_mass > 1e-8
 
@@ -193,3 +193,18 @@ class TestNoise:
         assert np.array_equal(a.operator.entries, b.operator.entries)
         assert np.array_equal(a.f_exact, b.f_exact)
         assert np.array_equal(a.y_reference, b.y_reference)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: identity_problem(4),
+    lambda: hilbert_problem(8),
+    lambda: gaussian_blur_problem(64, 0.05),
+    lambda: rank_deficient_problem(12, 6, 3),
+], ids=["identity", "hilbert", "gaussian_blur", "rank_deficient"])
+def test_decomposition_is_bitwise_that_of_the_operator(make):
+    prob = make()
+    fresh = decompose(prob.operator)
+    for name in ("singular_values", "left_vectors", "right_vectors"):
+        kept, recomputed = getattr(prob.decomposition, name), getattr(fresh, name)
+        assert kept.shape == recomputed.shape
+        assert np.array_equal(kept.view(np.int64), recomputed.view(np.int64))
