@@ -4,9 +4,10 @@ The residual norm of the regularized normal-equation solution,
 ``||A (A^T A + eps)^{-1} A^T f - f||``, is evaluated through the spectral
 weights of the data; setting it equal to C * delta and solving for eps
 yields the regularization strength at which integration should stop.
-The root is located by Newton's method and returned as the end of the
-log-bisection bracket, bit for bit, with the profile evaluated only where
-Newton's certified margins leave the bisection's comparison open.
+The root is located by Newton's method, started at a bound on the root
+that needs no evaluation, and returned as the end of the log-bisection
+bracket, bit for bit, with the profile evaluated only where Newton's
+certified margins leave the bisection's comparison open.
 The same profile is the spectral record the evolution in ``dsm`` reads.
 """
 
@@ -29,6 +30,9 @@ _NORMAL_MIN = sys.float_info.min
 _X_FLOOR, _X_CEIL = math.log(_EPS_FLOOR), math.log(_EPS_CEIL)
 _NEWTON_XTOL = 1e-13
 _NEWTON_STEPS = 50
+# Widening, in ln eps, of the root's a priori bracket, so that rounding in
+# its ends cannot exclude the root.
+_BRACKET_SLACK = 1e-6
 _PROBES = 3
 # Where d ln h / d ln eps is below this at the root, the certified interval,
 # about 4 kappa / s wide in ln eps, is too wide for the replay to skip many
@@ -117,14 +121,48 @@ def _phi_and_slope(p: DiscrepancyProfile, eps: float) -> tuple[float, float]:
     return p.null_mass + float(bq @ q), 2.0 * float(bq @ (q * (p.lambdas / d)))
 
 
+def _root_bracket(p: DiscrepancyProfile, t2: float, mass: float,
+                  lam_min: float, lam_max: float) -> tuple[float, float]:
+    """Bounds x_lo <= ln eps <= x_hi on the root of discrepancy_value(p, eps)^2
+    = t2, known before any evaluation; (_X_FLOOR, _X_CEIL) where none hold.
+
+    ``mass`` is sum(betas) and ``lam_min``, ``lam_max`` the extreme lambdas.
+    A zero lambda has q_i = 1 at every eps, so its beta_i counts as null
+    mass.  Over the other terms, whose betas sum to free, the betas' mean
+    of q_i^2 at the root is rho^2 = (t2 - null) / free.  As each
+    q_i = eps / (eps + lambda_i) is decreasing in lambda_i, the root has
+    q(lambda_max) <= rho <= q(lambda_min), that is
+    rho lambda_min / (1 - rho) <= eps <= rho lambda_max / (1 - rho).
+    The ends are widened by _BRACKET_SLACK against rounding and clipped.
+    """
+    null, free = p.null_mass, mass
+    if lam_min == 0.0 < lam_max:
+        zero = p.lambdas == 0.0
+        null += float(p.betas[zero].sum())
+        free = float(p.betas[~zero].sum())
+        lam_min = float(p.lambdas[~zero].min())
+    rho2 = (t2 - null) / free if free > 0.0 else 1.0
+    if not (lam_max > 0.0 and 0.0 < rho2 < 1.0):
+        return _X_FLOOR, _X_CEIL
+    rho = math.sqrt(rho2)
+    shift = math.log(rho) - math.log1p(-rho)  # ln(rho / (1 - rho))
+    x_lo = shift + math.log(lam_min) - _BRACKET_SLACK
+    x_hi = shift + math.log(lam_max) + _BRACKET_SLACK
+    return min(max(x_lo, _X_FLOOR), _X_CEIL), min(max(x_hi, _X_FLOOR), _X_CEIL)
+
+
 def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tuple[float, float]:
     """Points a < b such that discrepancy_value(p, eps) < target for every
     eps <= a and >= target for every eps >= b; (0, inf) if none are found.
 
     A safeguarded Newton iteration in x = ln eps on ln h(e^x) = ln target
     locates the root, then one probe (or a few) either side of it is
-    evaluated.  Of all evaluated points, a is the largest eps with
-    h <= target (1 - kappa) and b the smallest with h >= target (1 + kappa).
+    evaluated.  Newton starts at the upper end of the bracket from
+    ``_root_bracket``, which needs no evaluation and holds the root because
+    each q_i = eps / (eps + lambda_i) is monotone in lambda_i; the bracket
+    is also Newton's safeguard.  It only steers the search: of all
+    evaluated points, a is the largest eps with h <= target (1 - kappa)
+    and b the smallest with h >= target (1 + kappa).
     For positive terms the computed h is within (r + 7) 2^-53 of the exact
     h, relatively, whatever the summation order; kappa is four times that,
     so it covers the error of the evaluation that certified a point and of
@@ -141,16 +179,17 @@ def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tup
     r = p.lambdas.shape[0]
     kappa = 4.0 * (r + 7) * 2.0 ** -53
     t2 = target * target
-    if not (t2 > 1e-290 * (mass + r) and mass + p.null_mass < 1e290
-            and float(p.lambdas.max()) < 1e300):
+    lam_min, lam_max = float(p.lambdas.min()), float(p.lambdas.max())
+    if not (t2 > 1e-290 * (mass + r) and mass + p.null_mass < 1e290 and lam_max < 1e300):
         return 0.0, math.inf
     if min(p.data_norm_sq - t2, t2 - p.null_mass) < _FLAT_SLOPE * t2:
         return 0.0, math.inf
     lower, upper = target * (1.0 - kappa), target * (1.0 + kappa)
     ln_target = math.log(target)
     points = []  # (eps, h) of every evaluation
-    x_lo, x_hi = _X_FLOOR, _X_CEIL
-    x, eps, root = 0.0, 1.0, None
+    x_lo, x_hi = _root_bracket(p, t2, mass, lam_min, lam_max)
+    x, root = (x_hi if x_hi < _X_CEIL else 0.0), None
+    eps = math.exp(x)
     for _ in range(_NEWTON_STEPS):
         phi, slope = _phi_and_slope(p, eps)
         h = math.sqrt(phi)
@@ -201,6 +240,8 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
     only evaluates the profile at midpoints between the margins
     certified by ``_certified_margins``; on either side of them the
     comparison's outcome is known, so the bracket is the same bit for bit.
+    When the returned end is a midpoint the bisection evaluated, that
+    evaluation is the achieved residual; otherwise it is evaluated there.
     A residual more than _ROOT_RTOL ||f|| off the target at the returned
     end, as for a root below _EPS_FLOOR, raises ``NumericalError``.
     """
@@ -229,17 +270,23 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         iterations += 1
         if hi > _EPS_CEIL:
             raise NumericalError("discrepancy bracket growth overflowed")
+    achieved = None  # discrepancy_value(p, hi), once the replay has evaluated it
     while hi - lo > _BRACKET_RTOL * hi:
         prod = lo * hi  # not a normal number for roots below about 1e-150
         mid = math.sqrt(prod) if prod >= _NORMAL_MIN else math.sqrt(lo) * math.sqrt(hi)
         if mid <= lo or mid >= hi:
             break
-        if mid <= a or (mid < b and discrepancy_value(p, mid) < target):
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi, achieved = mid, None
+        elif (h := discrepancy_value(p, mid)) < target:
             lo = mid
         else:
-            hi = mid
+            hi, achieved = mid, h
         iterations += 1
-    achieved = discrepancy_value(p, hi)
+    if achieved is None:
+        achieved = discrepancy_value(p, hi)
     if abs(achieved - target) > _ROOT_RTOL * p.data_norm:
         raise NumericalError(
             f"discrepancy root missed: residual {achieved} at eps = {hi}, target {target}",
@@ -276,7 +323,7 @@ def stopping_time(schedule: Schedule, epsilon_star: float, *,
                   achieved_discrepancy: float = math.nan,
                   iterations: int = 0) -> StoppingResult:
     """Map a discrepancy root to the schedule time at which eps(t) hits it."""
-    if epsilon_star > schedule.eval(0.0):
+    if epsilon_star > schedule.eps0:
         raise PreconditionError(
             "stopping time negative; decrease c1 or start further back")
     t = schedule.invert(epsilon_star)

@@ -25,7 +25,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
             f"{name} must be one-dimensional, got shape {v.shape}")
     if v.size == 0:
         raise DimensionMismatchError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise PreconditionError(f"{name} contains non-finite entries")
     return v
 

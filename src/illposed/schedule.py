@@ -9,6 +9,7 @@ implementation is the power-law family eps(t) = c1 (c0 + t)^(-b).
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,11 @@ class Schedule(abc.ABC):
     @abc.abstractmethod
     def invert(self, g: float) -> float:
         """The unique t >= 0 with eps(t) = g, for 0 < g <= eps(0)."""
+
+    @functools.cached_property
+    def eps0(self) -> float:
+        """eps(0), evaluated once per instance."""
+        return self.eval(0.0)
 
     def sup_abs_derivative(self, lo: float, hi: float, samples: int = 513) -> float:
         """sup of |eps'(s)| over [lo, hi], by dense sampling by default."""
@@ -123,10 +129,9 @@ class PowerLawSchedule(Schedule):
     def invert(self, g: float) -> float:
         if not (g > 0 and math.isfinite(g)):
             raise PreconditionError(f"schedule value must be positive, got {g}")
-        eps0 = self.eval(0.0)
-        if g > eps0:
+        if g > self.eps0:
             raise PreconditionError(
-                f"schedule value {g} exceeds eps(0) = {eps0}; the root would be negative")
+                f"schedule value {g} exceeds eps(0) = {self.eps0}; the root would be negative")
         log_shifted = math.log(self.c1 / g) / self.b
         if log_shifted > 709.0:
             raise NumericalError(

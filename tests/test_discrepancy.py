@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import illposed.discrepancy as discrepancy
-from illposed import (DenseOperator, NoiseSpec, PreconditionError, add_noise,
-                      build_profile, decompose, default_schedule,
+from illposed import (DenseOperator, NoiseSpec, PowerLawSchedule, PreconditionError,
+                      add_noise, build_profile, decompose, default_schedule,
                       discrepancy_value, gaussian_blur_problem,
                       rank_deficient_problem, regularized_normal_solve,
                       solve_for_epsilon, stop_from_profile, stopping_time)
@@ -166,6 +166,23 @@ class TestStoppingTime:
         with pytest.raises(PreconditionError, match="stopping time negative"):
             stopping_time(default_schedule(), 2.0)
 
+    def test_eps0_evaluated_once_per_schedule(self):
+        calls = []
+
+        class Counting(PowerLawSchedule):
+            def eval(self, t):
+                calls.append(t)
+                return super().eval(t)
+
+        s = Counting()
+        for eps in (0.5, 0.1, 1e-3):
+            stopping_time(s, eps)
+        with pytest.raises(PreconditionError, match="stopping time negative"):
+            stopping_time(s, 2.0)
+        with pytest.raises(PreconditionError, match=r"exceeds eps\(0\) = 1.0"):
+            s.invert(2.0)
+        assert calls == [0.0]
+
     def test_t_delta_increases_as_delta_shrinks(self):
         prob = rank_deficient_problem(10, 5, 3)
         dec = prob.decomposition
@@ -251,12 +268,17 @@ def _assert_same_root(p, delta, C):
 def root_cases(draw):
     """A random profile and a target: interior, within 1e-14 to 1e-6
     (relative) of sqrt(null_mass) or of the data norm, at a root above 1,
-    or at a root near _EPS_FLOOR."""
+    at a root near _EPS_FLOOR, or interior with unsorted lambdas of which
+    some are zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     r = draw(st.integers(1, 256))
-    kind = draw(st.sampled_from(["interior", "near_null", "near_norm", "above_one", "near_floor"]))
+    kind = draw(st.sampled_from(["interior", "near_null", "near_norm", "above_one",
+                                 "near_floor", "zero_unsorted"]))
     lowest = -300.0 if kind == "near_floor" else -30.0
     lambdas = np.sort(10.0 ** rng.uniform(lowest, 6.0, r))[::-1]
+    if kind == "zero_unsorted":
+        lambdas = rng.permutation(lambdas)
+        lambdas[rng.random(r) < 0.3] = 0.0
     g = rng.standard_normal(r) * 10.0 ** rng.uniform(-8.0, 2.0, r)
     has_null = kind == "near_null" or (kind != "near_floor" and draw(st.booleans()))
     null_mass = 10.0 ** rng.uniform(-35.0, 0.0) if has_null else 0.0
@@ -322,6 +344,17 @@ class TestRootMatchesBisection:
         assert info.value.stage == "discrepancy"
         assert _assert_same_root(p, 0.01, 1.0)[0] is NumericalError
 
+    @pytest.mark.parametrize("lambdas, g", [
+        ([0.0, 0.0], [1.0, 0.5]),  # h is flat, above the target: the root is missed
+        ([1.0, 1e-3, 0.0], [1.0, 0.5, 0.2]),
+        ([1e-3, 1.0, 1e-6, 0.1], [0.3, 1.0, 0.4, 0.5]),
+    ], ids=["all_zero", "one_zero", "unsorted"])
+    def test_zero_and_unsorted_lambdas(self, lambdas, g):
+        g = np.array(g)
+        p = DiscrepancyProfile(lambdas=np.array(lambdas), coefficients=g,
+                               null_mass=0.0, data_norm_sq=float(g @ g))
+        _assert_same_root(p, 0.3, 1.0)
+
     @pytest.mark.parametrize("delta, C", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0),
                                           (math.nan, 1.0), (0.2, 0.5), (2.0, 1.0)])
     def test_precondition_failures(self, diag_profile, delta, C):
@@ -351,6 +384,22 @@ def test_margins_hold_near_underflow(seed, log_eps):
         assert discrepancy_value(p, eps) >= target
 
 
+@settings(max_examples=400, deadline=None)
+@given(root_cases())
+def test_root_bracket_holds_the_root(case):
+    # Newton starts at the upper end: h there is at or above the target,
+    # and at a lower end above _X_FLOOR below it, up to rounding
+    p, delta, C = case
+    target = C * delta
+    lo, hi = discrepancy._root_bracket(p, target * target, float(p.betas.sum()),
+                                       float(p.lambdas.min()), float(p.lambdas.max()))
+    kappa = 4.0 * (p.lambdas.size + 7) * 2.0 ** -53
+    if hi < discrepancy._X_CEIL:
+        assert discrepancy_value(p, math.exp(hi)) >= target * (1.0 - kappa)
+    if lo > discrepancy._X_FLOOR:
+        assert discrepancy_value(p, math.exp(lo)) <= target * (1.0 + kappa)
+
+
 def _count_evaluations(monkeypatch):
     calls = []
     for name in ("discrepancy_value", "_phi_and_slope"):
@@ -360,15 +409,16 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
-def test_root_evaluation_budget(monkeypatch, delta):
+def test_root_evaluation_budget(monkeypatch, n, delta):
     # 54 scalar evaluations for the plain bisection; Newton steps count too
     calls = _count_evaluations(monkeypatch)
-    prob = gaussian_blur_problem(64, 0.05)
+    prob = gaussian_blur_problem(n, 0.05)
     dec = prob.decomposition
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, 7)))
     eps, achieved, iterations = _epsilon_root(p, delta, 1.0)
-    assert len(calls) <= 25
+    assert len(calls) <= 12
     assert iterations == 53
     assert (eps, achieved, iterations) == _bisection_reference(p, delta, 1.0)
 
