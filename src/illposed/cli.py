@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -108,18 +109,26 @@ def load_config(path) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric config field: {exc}") from None
 
-    if C < 1.0:
-        raise ConfigError(f"C must be at least 1, got {C}")
-    if delta is not None and delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
+    if not (C >= 1.0 and math.isfinite(C)):
+        raise ConfigError(f"C must be finite and at least 1, got {C}")
+    if delta is not None and not (delta > 0 and math.isfinite(delta)):
+        raise ConfigError(f"delta must be positive and finite, got {delta}")
     if seq:
-        if any(d <= 0 for d in seq):
-            raise ConfigError("delta_sequence entries must be positive")
+        if not all(d > 0 and math.isfinite(d) for d in seq):
+            raise ConfigError("delta_sequence entries must be positive and finite")
         if any(b >= a for a, b in zip(seq[:-1], seq[1:])):
             raise ConfigError("delta_sequence must be strictly decreasing")
+    integrator = raw.get("integrator", "exponential_quadrature")
+    if integrator != "exponential_quadrature":
+        raise ConfigError(f"unknown integrator {integrator!r}: the only one is "
+                          f"\"exponential_quadrature\" (Runge-Kutta is a test oracle only)")
+    flags = {key: raw.get(key, default) for key, default in
+             (("noise", True), ("in_range_closure", True), ("store_trajectory", False))}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key!r} must be true or false, got {value!r}")
 
-    dsm_config = DSMConfig(integrator=raw.get("integrator", "exponential_quadrature"),
-                           relative_tolerance=rel, absolute_tolerance=abs_)
+    dsm_config = DSMConfig(relative_tolerance=rel, absolute_tolerance=abs_)
 
     return ExperimentConfig(
         problem=problem,
@@ -128,10 +137,10 @@ def load_config(path) -> ExperimentConfig:
         delta=delta,
         delta_sequence=seq,
         seed=seed,
-        noise=bool(raw.get("noise", True)),
-        in_range_closure=bool(raw.get("in_range_closure", True)),
+        noise=flags["noise"],
+        in_range_closure=flags["in_range_closure"],
         dsm_config=dsm_config,
-        store_trajectory=bool(raw.get("store_trajectory", False)),
+        store_trajectory=flags["store_trajectory"],
         output_dir=str(raw.get("output_dir", "out")),
         raw=raw,
     )

@@ -5,25 +5,25 @@ In the right-singular coordinates z = V_r^T u the evolution is diagonal,
 
     z_i' = -z_i + s_i g_i / (s_i^2 + eps(t)),    g = U_r^T f,
 
-so both integrators evolve the r-vector z, reading s, g and the null mass
-from the data's DiscrepancyProfile, and map back with u = V_r z only at
+so the integrator evolves the r-vector z, reading s, g and the null mass
+from the data's DiscrepancyProfile, and maps back with u = V_r z only at
 report times; the part of the start state outside span(V_r) decays as
-e^{-t}.  Two independent integrators act as mutual oracles: an exponential
-integrator built on the variation-of-constants form
+e^{-t}.  It is an exponential integrator built on the variation-of-constants
+form
 
-    z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau,
+    z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau.
 
-and scipy's RK45 Dormand-Prince 5(4) pair with step-size control, the
-cross-check oracle.  Once b is past the e^{-tau} window plus the largest
-Gauss-Laguerre node (about 112), z(b) is e^{-b} z(0) plus the integral over
-[0, inf) to rounding: the tracking of w(eps(t)).  The exponential route
-takes it from a 16-node Gauss-Laguerre rule, with no chaining, wherever the
-8-node rule agrees within the gap tolerance.  Earlier times, and late times
-whose estimate misses, take the gap integral from Gauss-Legendre panels
-refined in array rounds and chain z from the previous time; the gap
-integrals do not depend on z, so consecutive gaps are integrated in groups.
-It works in shifted exponents per gap, so stopping times far beyond the
-underflow horizon of e^{-t} are handled exactly.
+Once b is past the e^{-tau} window plus the largest Gauss-Laguerre node
+(about 112), z(b) is e^{-b} z(0) plus the integral over [0, inf) to
+rounding: the tracking of w(eps(t)).  The integrator takes it from a
+16-node Gauss-Laguerre rule, with no chaining, wherever the 8-node rule
+agrees within the gap tolerance.  Earlier times, and late times whose
+estimate misses, take the gap integral from Gauss-Legendre panels refined
+in array rounds and chain z from the previous time; the gap integrals do
+not depend on z, so consecutive gaps are integrated in groups.  It works in
+shifted exponents per gap, so stopping times far beyond the underflow
+horizon of e^{-t} are handled exactly.  The tests check it against an
+independent Runge-Kutta oracle in the original coordinates.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .operators import (SpectralDecomposition, _frozen, as_vector,
                         project_range_closure, regularized_normal_solve)
 from .schedule import Schedule
 
-INTEGRATORS = ("exponential_quadrature", "adaptive_runge_kutta")
-
 # Weight e^{-tau} below e^{-60} ~ 9e-27 is droppable at double precision.
 _WINDOW = 60.0
 _MAX_PANEL_WIDTH = 2.0
@@ -51,9 +49,6 @@ _MAX_PANEL_DEPTH = 30
 # list grows by at most this many a round, and a tolerance below rounding
 # hits the depth cap in about _MAX_PANEL_DEPTH rounds.
 _ROUND_PANELS = 256
-_RK_MAX_STEP = 3.0
-# scipy's RK45 raises a smaller relative tolerance to this with only a warning
-_RK_MIN_RTOL = 100 * np.finfo(float).eps
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 _GL_NODES = (_GL_X + 1.0) / 2.0
@@ -75,9 +70,8 @@ _NULL_DUST_REL = 1e-14
 
 @dataclass(frozen=True)
 class DSMConfig:
-    """Integrator selection, tolerances, start state, and step budget."""
+    """Tolerances, start state, step budget and report points of ``evolve``."""
 
-    integrator: str = "exponential_quadrature"
     relative_tolerance: float = 1e-8
     absolute_tolerance: float = 1e-12
     initial_state: np.ndarray | None = None
@@ -85,14 +79,12 @@ class DSMConfig:
     trajectory_points: int = 512
 
     def __post_init__(self):
-        if self.integrator not in INTEGRATORS:
+        # a NaN or infinite tolerance would pass or fail every estimate silently
+        if not all(tol > 0 and math.isfinite(tol)
+                   for tol in (self.relative_tolerance, self.absolute_tolerance)):
             raise ConfigError(
-                f"unknown integrator {self.integrator!r}; choose one of {INTEGRATORS}")
-        if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.integrator == "adaptive_runge_kutta" and self.relative_tolerance < _RK_MIN_RTOL:
-            raise ConfigError(f"adaptive_runge_kutta needs relative_tolerance >= "
-                              f"{_RK_MIN_RTOL:.3g}, got {self.relative_tolerance}")
+                f"relative_tolerance and absolute_tolerance must be positive and finite, "
+                f"got {self.relative_tolerance} and {self.absolute_tolerance}")
         if self.max_steps <= 0:
             raise ConfigError("max_steps must be positive")
         if self.trajectory_points < 2:
@@ -165,10 +157,8 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     sg = dec.singular_values * profile.coefficients
     times = _report_grid(t_end, cfg.trajectory_points)
     zs = [dec.right_vectors.T @ u0]
-    integrate = (_evolve_exponential if cfg.integrator == "exponential_quadrature"
-                 else _evolve_rk)
     try:
-        integrate(schedule, sg, profile.lambdas, times, cfg, zs)
+        _evolve_exponential(schedule, sg, profile.lambdas, times, cfg, zs)
     except NumericalError as exc:
         exc.stage = "integration"
         exc.trajectory = _record(dec, profile, u0, times[:len(zs)], zs)
@@ -367,44 +357,6 @@ def _add_by_gap(total: np.ndarray, values: np.ndarray, gap: np.ndarray, mask) ->
     for n in np.unique(counts[counts > 0]):
         gaps = np.flatnonzero(counts == n)
         total[:, gaps] += values[:, cols[starts[gaps, None] + np.arange(n)]].sum(axis=2)
-
-
-def _evolve_rk(schedule, sg, lam, times, cfg, zs) -> None:
-    """Append z at each report time after the first to ``zs``, by scipy's
-    Dormand-Prince 5(4) pair, restarted at each report time so that states
-    land on it; ``max_steps`` counts accepted steps."""
-    # imported here: scipy.integrate pulls in scipy.special and more, which
-    # would add memory and start-up time to every run of the other integrator
-    from scipy.integrate import RK45
-
-    t_end = float(times[-1])
-    min_steps = math.ceil(t_end / _RK_MAX_STEP)
-    if min_steps > cfg.max_steps:
-        raise NumericalError(
-            f"adaptive_runge_kutta needs at least {min_steps} steps of at most "
-            f"{_RK_MAX_STEP} to reach t = {t_end}; max_steps = {cfg.max_steps}")
-
-    def deriv(t: float, z: np.ndarray) -> np.ndarray:
-        out = sg / (lam + float(schedule.eval(t))) - z
-        # scipy would shrink its steps toward a non-finite point, not stop
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("integration diverged")
-        return out
-
-    h, steps = None, 0
-    for t, t_next in zip(times[:-1], times[1:]):
-        solver = RK45(deriv, t, zs[-1], t_next, max_step=_RK_MAX_STEP,
-                      rtol=cfg.relative_tolerance, atol=cfg.absolute_tolerance,
-                      first_step=None if h is None else min(h, t_next - t))
-        while solver.status == "running":
-            if steps == cfg.max_steps:
-                raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {solver.t}")
-            message = solver.step()
-            if solver.status == "failed":
-                raise NumericalError(f"step size underflow: {message}")
-            steps += 1
-        h = solver.h_abs
-        zs.append(solver.y)
 
 
 def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,

@@ -16,6 +16,7 @@ from illposed import (DSMConfig, DenseOperator, NoiseSpec, PreconditionError,
                       nonlinear_discrepancy_result, normalize, PowerLawSchedule,
                       rank_deficient_problem, regularized_normal_solve, run_dsm,
                       solve_for_epsilon)
+from rk_oracle import rk_states
 
 
 @contextmanager
@@ -188,24 +189,24 @@ class _Frozen(Schedule):
 def test_criterion_06_integrator_cross_validation():
     with criterion(6, "exponential quadrature vs adaptive Runge-Kutta"):
         prob = gaussian_blur_problem(32, 0.05)
-        dec = prob.decomposition
+        dec, A = prob.decomposition, prob.operator.entries
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
         s = default_schedule()
-        u_exp = evolve(dec, s, f, 50.0,
-                       DSMConfig(integrator="exponential_quadrature")).states[-1]
-        u_rk = evolve(dec, s, f, 50.0,
-                      DSMConfig(integrator="adaptive_runge_kutta")).states[-1]
-        assert np.linalg.norm(u_exp - u_rk) <= 1e-6 * np.linalg.norm(u_exp)
+        traj = evolve(dec, s, f, 50.0)
+        gap = np.linalg.norm(traj.states - rk_states(A, s, f, traj.times), axis=1)
+        assert np.all(gap <= 1e-6 * np.linalg.norm(traj.states, axis=1))
 
+        # both against the closed form u(t) = (1 - e^{-t}) w under a frozen eps
         eps = 0.05
         w = regularized_normal_solve(dec, eps, prob.f_exact)
-        for integrator in ("exponential_quadrature", "adaptive_runge_kutta"):
-            cfg = DSMConfig(integrator=integrator, relative_tolerance=1e-10,
-                            absolute_tolerance=1e-13)
-            for t_end in (1.0, 5.0, 20.0):
-                traj = evolve(dec, _Frozen(eps), prob.f_exact, t_end, cfg)
-                exact = (1.0 - np.exp(-t_end)) * w
-                assert np.linalg.norm(traj.states[-1] - exact) <= 1e-8
+        cfg = DSMConfig(relative_tolerance=1e-10, absolute_tolerance=1e-13)
+        oracle = rk_states(A, _Frozen(eps), prob.f_exact, [0.0, 1.0, 5.0, 20.0],
+                           rtol=1e-10, atol=1e-13)
+        for t_end, u_rk in zip((1.0, 5.0, 20.0), oracle[1:]):
+            traj = evolve(dec, _Frozen(eps), prob.f_exact, t_end, cfg)
+            exact = (1.0 - np.exp(-t_end)) * w
+            assert np.linalg.norm(traj.states[-1] - exact) <= 1e-8
+            assert np.linalg.norm(u_rk - exact) <= 1e-8
 
 
 def test_criterion_07_schedule_admissibility():

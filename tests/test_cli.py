@@ -319,12 +319,24 @@ class TestConfigParsing:
         path = write_config(tmp_path, delta=0.1, integrator="euler")
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
-    def test_rk_tolerance_below_floor(self, tmp_path, capsys):
-        path = write_config(tmp_path, delta=0.1, integrator="adaptive_runge_kutta",
-                            relative_tolerance=1e-15)
+    def test_runge_kutta_is_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, delta=0.1, integrator="adaptive_runge_kutta")
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().out)
-        assert "relative_tolerance" in err["error"]["message"]
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert "'adaptive_runge_kutta'" in message and "test oracle" in message
+
+    @pytest.mark.parametrize("field, value", [
+        ("C", float("nan")), ("C", float("inf")), ("delta", float("nan")),
+        ("delta", float("inf")), ("delta_sequence", [1e-1, float("nan"), 1e-3]),
+        ("relative_tolerance", float("nan")), ("absolute_tolerance", float("inf")),
+        # JSON booleans only: bool("false") is True
+        ("noise", "false"), ("in_range_closure", 0), ("store_trajectory", "yes"),
+    ])
+    def test_rejected_before_any_computation(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, **{"delta": 0.1, field: value})
+        assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert field in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_config_hash_stable_under_whitespace(self, tmp_path):
         p1 = write_config(tmp_path, "a.json", delta=0.1)

@@ -1,7 +1,6 @@
 """Start-up loads numpy alone: importing the library and its CLI, and the
 production path of every CLI command, load no scipy module.  scipy is left
-to ``adaptive_runge_kutta`` and ``regularized_normal_solve_direct``, which
-import it on first use.
+to ``regularized_normal_solve_direct``, which imports it on first use.
 
 The checks run in a fresh interpreter, because the pytest process has
 scipy loaded already (the tests use it as an oracle).
