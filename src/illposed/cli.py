@@ -74,6 +74,13 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _number(value, key: str, kind=float):
+    """``value`` as ``kind``, refusing what the cast would coerce: true as 1, 7.9 as 7."""
+    if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+        raise ConfigError(f"{key!r} must be a number of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,6 +95,8 @@ def load_config(path) -> ExperimentConfig:
     problem = raw.get("problem")
     if not isinstance(problem, dict) or "name" not in problem:
         raise ConfigError('config needs a "problem" object with a "name" field')
+    for key in ("n", "rank", "seed"):
+        _number(problem.get(key, 0), f"problem.{key}", int)
 
     sched_raw = raw.get("schedule", {})
     if not isinstance(sched_raw, dict):
@@ -95,17 +104,16 @@ def load_config(path) -> ExperimentConfig:
 
     try:
         schedule = PowerLawSchedule(
-            c0=float(sched_raw.get("c0", 1.0)),
-            c1=float(sched_raw.get("c1", 1.0)),
-            b=float(sched_raw.get("b", 0.5)),
+            c0=_number(sched_raw.get("c0", 1.0), "c0"),
+            c1=_number(sched_raw.get("c1", 1.0), "c1"),
+            b=_number(sched_raw.get("b", 0.5), "b"),
         )
-        C = float(raw.get("C", 1.0))
-        delta = raw.get("delta")
-        delta = float(delta) if delta is not None else None
-        seq = tuple(float(d) for d in raw.get("delta_sequence", ()))
-        seed = int(raw.get("seed", 0))
-        rel = float(raw.get("relative_tolerance", 1e-8))
-        abs_ = float(raw.get("absolute_tolerance", 1e-12))
+        C = _number(raw.get("C", 1.0), "C")
+        delta = None if raw.get("delta") is None else _number(raw["delta"], "delta")
+        seq = tuple(_number(d, "delta_sequence") for d in raw.get("delta_sequence", ()))
+        seed = _number(raw.get("seed", 0), "seed", int)
+        rel = _number(raw.get("relative_tolerance", 1e-8), "relative_tolerance")
+        abs_ = _number(raw.get("absolute_tolerance", 1e-12), "absolute_tolerance")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric config field: {exc}") from None
 
@@ -151,14 +159,14 @@ def build_linear_problem(cfg: ExperimentConfig) -> TestProblem:
     name = p["name"]
     try:
         if name == "identity":
-            return identity_problem(int(p.get("n", 2)))
+            return identity_problem(p.get("n", 2))
         if name == "hilbert":
-            return hilbert_problem(int(p.get("n", 8)))
+            return hilbert_problem(p.get("n", 8))
         if name == "gaussian_blur":
-            return gaussian_blur_problem(int(p.get("n", 64)), float(p.get("width", 0.05)))
+            return gaussian_blur_problem(p.get("n", 64), float(p.get("width", 0.05)))
         if name == "rank_deficient":
-            return rank_deficient_problem(int(p.get("n", 12)), int(p.get("rank", 6)),
-                                          int(p.get("seed", cfg.seed)))
+            return rank_deficient_problem(p.get("n", 12), p.get("rank", 6),
+                                          p.get("seed", cfg.seed))
     except PreconditionError as exc:
         raise ConfigError(f"problem parameters invalid: {exc}") from None
     raise ConfigError(f"unknown linear problem kind {name!r}")
@@ -168,7 +176,7 @@ def build_nonlinear_problem(cfg: ExperimentConfig):
     p = cfg.problem
     if p["name"] != "cubic":
         raise ConfigError(f"problem kind {p['name']!r} is not nonlinear; use \"cubic\"")
-    n = int(p.get("n", 8))
+    n = p.get("n", 8)
     coeffs = p.get("coefficients", 1.0)
     y = p.get("y")
     if y is None:

@@ -28,7 +28,7 @@ _EPS_FLOOR = 1e-300
 _EPS_CEIL = 1e308
 _NORMAL_MIN = sys.float_info.min
 _X_FLOOR, _X_CEIL = math.log(_EPS_FLOOR), math.log(_EPS_CEIL)
-_NEWTON_XTOL = 1e-13
+_NEWTON_XTOL = 1e-7  # a Newton step this short (in ln eps) is taken unevaluated
 _NEWTON_STEPS = 50
 # Widening, in ln eps, of the root's a priori bracket, so that rounding in
 # its ends cannot exclude the root.
@@ -66,13 +66,14 @@ class DiscrepancyProfile:
         if lam.shape != g.shape or lam.ndim != 1:
             raise DimensionMismatchError(
                 f"lambdas {lam.shape} and coefficients {g.shape} must be matching 1-D arrays")
-        if np.any(lam < 0):
+        if (lam < 0).any():
             raise PreconditionError("squared singular values must be nonnegative")
         if self.null_mass < 0 or self.data_norm_sq <= 0:
             raise PreconditionError("null_mass must be >= 0 and data_norm_sq > 0")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "coefficients", g)
-        object.__setattr__(self, "betas", _frozen(g * g))
+        object.__setattr__(self, "betas", g * g)
+        self.betas.setflags(write=False)
 
     @property
     def data_norm(self) -> float:
@@ -89,8 +90,9 @@ def build_profile(dec: SpectralDecomposition, f_delta) -> DiscrepancyProfile:
     f = _data_vector(f_delta, dec.rows)
     U = dec.left_vectors
     g = U.T @ f
+    g.setflags(write=False)  # fresh, so the profile keeps it uncopied
     remainder = f - U @ g
-    return DiscrepancyProfile(lambdas=dec.singular_values ** 2, coefficients=g,
+    return DiscrepancyProfile(lambdas=dec.lambdas, coefficients=g,
                               null_mass=float(remainder @ remainder),
                               data_norm_sq=float(f @ f))
 
@@ -163,6 +165,8 @@ def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tup
     is also Newton's safeguard.  It only steers the search: of all
     evaluated points, a is the largest eps with h <= target (1 - kappa)
     and b the smallest with h >= target (1 + kappa).
+    Newton's last step, below _NEWTON_XTOL, is not evaluated: its end only
+    centres the probes, so an inexact end costs probes, never a wrong margin.
     For positive terms the computed h is within (r + 7) 2^-53 of the exact
     h, relatively, whatever the summation order; kappa is four times that,
     so it covers the error of the evaluation that certified a point and of

@@ -8,7 +8,7 @@ projections, and a plain-text serialization format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,17 +100,20 @@ class SpectralDecomposition:
     (rows x r) and ``right_vectors`` (cols x r, both with orthonormal
     columns) hold only the r = ``numerical_rank`` triplets that
     ``decompose`` retained.  Every stage reads these, so none can reach
-    the noise-level modes below the cutoff.
+    the noise-level modes below the cutoff.  ``lambdas``, their squared
+    singular values, is formed once, read-only, for profiles and solves.
     """
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
+    lambdas: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "singular_values", _frozen(self.singular_values))
-        object.__setattr__(self, "left_vectors", _frozen(self.left_vectors))
-        object.__setattr__(self, "right_vectors", _frozen(self.right_vectors))
+        for name in ("singular_values", "left_vectors", "right_vectors"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "lambdas", self.singular_values ** 2)
+        self.lambdas.setflags(write=False)
 
     @property
     def numerical_rank(self) -> int:
@@ -163,9 +166,8 @@ def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.nd
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     v = _data_vector(f, dec.rows)
-    s = dec.singular_values
-    coef = s * (dec.left_vectors.T @ v)
-    return dec.right_vectors @ (coef / (s * s + eps))
+    coef = dec.singular_values * (dec.left_vectors.T @ v)
+    return dec.right_vectors @ (coef / (dec.lambdas + eps))
 
 
 def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarray:

@@ -157,15 +157,16 @@ def add_noise(f_exact, dec: SpectralDecomposition | None,
     draw triggers a redraw with seed+1, at most 8 retries.
     """
     f = as_vector(f_exact, "exact data")
-    if spec.delta >= np.linalg.norm(f):
+    if spec.in_range_closure and dec is None:
+        raise PreconditionError("a decomposition is needed to project onto the range")
+    if spec.delta >= math.sqrt(f @ f):
         raise PreconditionError(
             f"delta = {spec.delta} must be smaller than the exact data norm")
     for attempt in range(9):
-        rng = np.random.default_rng(spec.seed + attempt)
-        e = rng.standard_normal(f.shape[0])
+        e = np.random.default_rng(spec.seed + attempt).standard_normal(f.shape[0])
         if spec.in_range_closure:
             e, _ = project_range_closure(dec, e)
-        norm_e = np.linalg.norm(e)
+        norm_e = math.sqrt(e @ e)
         if norm_e > 1e-8:
             return f + (spec.delta / norm_e) * e
     raise NumericalError("noise direction degenerated after 8 redraws")

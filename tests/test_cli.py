@@ -331,10 +331,31 @@ class TestConfigParsing:
         ("relative_tolerance", float("nan")), ("absolute_tolerance", float("inf")),
         # JSON booleans only: bool("false") is True
         ("noise", "false"), ("in_range_closure", 0), ("store_trajectory", "yes"),
+        # no truncation to an integer, and no boolean read as a number
+        ("seed", 7.9), ("seed", True), ("C", True), ("delta", True),
+        ("delta_sequence", [True, 1e-1, 1e-2]), ("relative_tolerance", True),
+        ("absolute_tolerance", True),
     ])
     def test_rejected_before_any_computation(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path, **{"delta": 0.1, field: value})
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert field in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("solve", {"problem": {"name": "gaussian_blur", "n": 16.7}}, "problem.n"),
+        ("solve", {"problem": {"name": "hilbert", "n": True}}, "problem.n"),
+        ("solve", {"problem": {"name": "rank_deficient", "n": 12, "rank": 6.5}},
+         "problem.rank"),
+        ("solve", {"problem": {"name": "rank_deficient", "seed": 3.2}}, "problem.seed"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 8.5}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "problem.n"),
+        ("solve", {"schedule": {"c0": True}}, "c0"),
+    ], ids=["blur_n", "hilbert_n_bool", "rank", "problem_seed", "cubic_n", "schedule_c0"])
+    def test_nested_numbers_rejected_before_any_computation(self, tmp_path, capsys,
+                                                           command, overrides, field):
+        path = write_config(tmp_path, **{"delta": 0.1, **overrides})
+        assert main([command, "--config", str(path), "--quiet"]) == EXIT_CONFIG
         assert field in json.loads(capsys.readouterr().out)["error"]["message"]
         assert not (tmp_path / "out").exists()
 

@@ -58,6 +58,26 @@ class TestBuildProfile:
         assert np.allclose(p.betas, [1.0])
         assert abs(p.null_mass - 1.0) <= 1e-14
 
+    def test_shares_the_decompositions_lambdas_and_freezes_its_arrays(self, rng):
+        prob = gaussian_blur_problem(64, 0.05)
+        dec = prob.decomposition
+        f = prob.f_exact + 1e-3 * rng.standard_normal(64)
+        p = build_profile(dec, f)
+        assert p.lambdas is dec.lambdas
+        for a in (p.lambdas, p.coefficients, p.betas):
+            assert not a.flags.writeable
+        g = dec.left_vectors.T @ f
+        assert p.coefficients.tobytes() == g.tobytes()
+        assert p.betas.tobytes() == (g * g).tobytes()
+
+    def test_constructor_copies_writable_data(self):
+        lambdas, g = np.array([1.0, 0.25]), np.array([0.6, 0.8])
+        p = DiscrepancyProfile(lambdas=lambdas, coefficients=g, null_mass=0.0,
+                               data_norm_sq=1.0)
+        lambdas[0], g[0] = 5.0, 5.0
+        assert p.lambdas[0] == 1.0 and p.coefficients[0] == 0.6
+        assert p.betas.tobytes() == (np.array([0.6, 0.8]) ** 2).tobytes()
+
     def test_parseval_rank_three(self, rng):
         U = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         V = np.linalg.qr(rng.standard_normal((5, 5)))[0]
@@ -418,7 +438,7 @@ def test_root_evaluation_budget(monkeypatch, n, delta):
     dec = prob.decomposition
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, 7)))
     eps, achieved, iterations = _epsilon_root(p, delta, 1.0)
-    assert len(calls) <= 12
+    assert len(calls) <= 10
     assert iterations == 53
     assert (eps, achieved, iterations) == _bisection_reference(p, delta, 1.0)
 

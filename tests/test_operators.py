@@ -173,6 +173,14 @@ class TestDecompose:
         s = np.linalg.svd(A.entries, compute_uv=False)
         assert r == np.count_nonzero(s > DEFAULT_RANK_TOLERANCE * s[0]) < s.size
 
+    def test_lambdas_are_the_squares_read_only(self, rng):
+        dec = decompose(DenseOperator(rng.standard_normal((7, 5))))
+        s = dec.singular_values
+        assert dec.lambdas.tobytes() == (s * s).tobytes()
+        assert not dec.lambdas.flags.writeable
+        with pytest.raises(ValueError):
+            dec.lambdas[0] = 0.0
+
     def test_bad_tolerance(self):
         with pytest.raises(PreconditionError):
             decompose(DenseOperator(np.eye(2)), rank_tolerance=1.0)
@@ -234,6 +242,21 @@ class TestRegularizedSolve:
         # eps descending, so solution norms must be nondecreasing
         for a, b in zip(norms[:-1], norms[1:]):
             assert b >= a * (1 - 1e-14)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian_blur_problem(64, 0.05),
+        lambda: gaussian_blur_problem(256, 0.05),
+        lambda: rank_deficient_problem(12, 6, 3),
+    ], ids=["blur64", "blur256", "rank_deficient"])
+    def test_bitwise_the_formula_on_the_singular_values(self, make, rng):
+        # dividing by dec.lambdas + eps gives the bits of s * s + eps
+        prob = make()
+        dec = prob.decomposition
+        s, U, V = dec.singular_values, dec.left_vectors, dec.right_vectors
+        f = prob.f_exact + 1e-3 * rng.standard_normal(prob.f_exact.shape[0])
+        for eps in (1e-12, 1e-6, 1e-2, 3.0):
+            expected = V @ (s * (U.T @ f) / (s * s + eps))
+            assert regularized_normal_solve(dec, eps, f).tobytes() == expected.tobytes()
 
     def test_nonpositive_eps(self):
         dec = decompose(DenseOperator(np.eye(2)))

@@ -5,7 +5,7 @@ import scipy.linalg
 from illposed import (NoiseSpec, PreconditionError, add_noise, build_profile,
                       check_monotonicity, cubic_separable_problem, decompose,
                       gaussian_blur_problem, hilbert_problem, identity_problem,
-                      rank_deficient_problem)
+                      project_range_closure, rank_deficient_problem)
 from illposed import problems
 
 
@@ -186,6 +186,32 @@ class TestNoise:
         prob, dec = hilbert8
         with pytest.raises(PreconditionError):
             add_noise(prob.f_exact, dec, NoiseSpec(10.0, 0))
+
+    def test_range_projection_needs_a_decomposition(self, hilbert8):
+        prob, _ = hilbert8
+        with pytest.raises(PreconditionError, match="decomposition is needed"):
+            add_noise(prob.f_exact, None, NoiseSpec(1e-3, 0))
+        f = add_noise(prob.f_exact, None, NoiseSpec(1e-3, 0, in_range_closure=False))
+        assert f.shape == prob.f_exact.shape
+
+    @pytest.mark.parametrize("in_range_closure", [True, False])
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian_blur_problem(64, 0.05),
+        lambda: gaussian_blur_problem(256, 0.05),
+        lambda: identity_problem(4),
+        lambda: rank_deficient_problem(12, 6, 3),
+    ], ids=["blur64", "blur256", "identity", "rank_deficient"])
+    def test_bitwise_the_reference_composition(self, make, in_range_closure):
+        # the seeded draw, projected by the public projection, scaled by
+        # np.linalg.norm: add_noise's own arithmetic must give the same bits
+        prob = make()
+        dec = prob.decomposition
+        for seed in range(5):
+            e = np.random.default_rng(seed).standard_normal(prob.f_exact.shape[0])
+            p = project_range_closure(dec, e)[0] if in_range_closure else e
+            expected = prob.f_exact + (1e-3 / np.linalg.norm(p)) * p
+            f = add_noise(prob.f_exact, dec, NoiseSpec(1e-3, seed, in_range_closure))
+            assert f.tobytes() == expected.tobytes()
 
     def test_generators_are_pure(self):
         a = rank_deficient_problem(9, 4, 42)
