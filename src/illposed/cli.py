@@ -5,7 +5,9 @@ Configs are single JSON files, fully validated before any computation.
 Exit codes: 0 success, 2 config error, 3 precondition violation,
 4 numerical failure.  Artifacts embed a hash of the canonical config so
 every output names the inputs that produced it; apart from the measured
-``wall_time_ms`` column, repeated runs are byte-identical.
+``wall_time_ms`` column, repeated runs are byte-identical.  An in-process
+caller of ``main`` reuses up to four built linear problems; they are
+immutable, so a reused one gives the same bytes as a fresh build.
 
 This module alone defines the artifact schema; the library's results carry
 data and no serialization.  ``cmd_solve`` builds ``results.json``,
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -81,6 +84,11 @@ def _number(value, key: str, kind=float):
     return kind(value)
 
 
+def _numbers(value, key: str):
+    """``_number`` of a scalar, or of each entry of a list."""
+    return [_number(v, key) for v in value] if isinstance(value, list) else _number(value, key)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -114,6 +122,9 @@ def load_config(path) -> ExperimentConfig:
         seed = _number(raw.get("seed", 0), "seed", int)
         rel = _number(raw.get("relative_tolerance", 1e-8), "relative_tolerance")
         abs_ = _number(raw.get("absolute_tolerance", 1e-12), "absolute_tolerance")
+        problem = {**problem, **{key: _numbers(problem[key], f"problem.{key}")
+                                 for key in ("width", "coefficients", "y")
+                                 if key in problem}}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric config field: {exc}") from None
 
@@ -157,19 +168,29 @@ def load_config(path) -> ExperimentConfig:
 def build_linear_problem(cfg: ExperimentConfig) -> TestProblem:
     p = cfg.problem
     name = p["name"]
+    if name == "identity":
+        args = (p.get("n", 2),)
+    elif name == "hilbert":
+        args = (p.get("n", 8),)
+    elif name == "gaussian_blur":
+        args = (p.get("n", 64), p.get("width", 0.05))
+    elif name == "rank_deficient":
+        args = (p.get("n", 12), p.get("rank", 6), p.get("seed", cfg.seed))
+    else:
+        raise ConfigError(f"unknown linear problem kind {name!r}")
     try:
-        if name == "identity":
-            return identity_problem(p.get("n", 2))
-        if name == "hilbert":
-            return hilbert_problem(p.get("n", 8))
-        if name == "gaussian_blur":
-            return gaussian_blur_problem(p.get("n", 64), float(p.get("width", 0.05)))
-        if name == "rank_deficient":
-            return rank_deficient_problem(p.get("n", 12), p.get("rank", 6),
-                                          p.get("seed", cfg.seed))
+        return _built_problem(name, *args)
     except PreconditionError as exc:
         raise ConfigError(f"problem parameters invalid: {exc}") from None
-    raise ConfigError(f"unknown linear problem kind {name!r}")
+
+
+@functools.lru_cache(maxsize=4)
+def _built_problem(name: str, *args) -> TestProblem:
+    """The generator's problem, built once per argument set and shared: it is
+    immutable.  Generators are looked up by module-level name at call time."""
+    return {"identity": identity_problem, "hilbert": hilbert_problem,
+            "gaussian_blur": gaussian_blur_problem,
+            "rank_deficient": rank_deficient_problem}[name](*args)
 
 
 def build_nonlinear_problem(cfg: ExperimentConfig):
@@ -253,6 +274,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
         raise ConfigError('solve needs a single "delta" field in the config')
     prob = build_linear_problem(cfg)
     _check_deltas([cfg.delta], prob.f_exact)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = _noisy_run(cfg, prob, cfg.delta, cfg.seed)
 
     _write_json(out_dir / "results.json", {
@@ -287,6 +309,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
         raise ConfigError("convergence needs a delta_sequence of length >= 3")
     prob = build_linear_problem(cfg)
     _check_deltas(cfg.delta_sequence, prob.f_exact)
+    out_dir.mkdir(parents=True, exist_ok=True)
     y = prob.y_reference
     y_norm = float(np.linalg.norm(y))
 
@@ -329,6 +352,7 @@ def cmd_nonlinear(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
         raise ConfigError("nonlinear runs need C > 1")
     op, f_exact, y = build_nonlinear_problem(cfg)
     _check_deltas(cfg.delta_sequence, f_exact)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for k, delta in enumerate(cfg.delta_sequence):
@@ -362,6 +386,7 @@ def cmd_check_schedule(cfg: ExperimentConfig, out_dir: Path, store_trajectory: b
     t_grid = np.array([10.0, 100.0, 1000.0, 10000.0])
     report = cfg.schedule.admissibility_report(t_grid)
     r50 = float(np.exp(-50.0) / cfg.schedule.eval(50.0))
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "schedule_report.json", {
         "config_hash": cfg.config_hash,
         "schedule": {"c0": cfg.schedule.c0, "c1": cfg.schedule.c1, "b": cfg.schedule.b},
@@ -403,7 +428,8 @@ def _emit_error(exc: IllposedError, code: int) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="illposed",
         description="Solve ill-posed linear equations by a regularized evolution "
@@ -417,12 +443,15 @@ def main(argv=None) -> int:
         p.add_argument("--store-trajectory", action="store_true",
                        help="also write trajectory / scan-trace CSVs")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.output if args.output is not None else cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         store = args.store_trajectory or cfg.store_trajectory
         return _COMMANDS[args.command](cfg, out_dir, store, args.quiet)
     except ConfigError as exc:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from illposed import (NoiseSpec, Trajectory, add_noise, default_schedule,
-                      gaussian_blur_problem, run_dsm)
+                      gaussian_blur_problem, rank_deficient_problem, run_dsm)
 from illposed.cli import (CONVERGENCE_COLUMNS, EXIT_CONFIG, EXIT_OK,
-                          EXIT_PRECONDITION, NONLINEAR_COLUMNS,
-                          _write_trajectory_csv, load_config, main)
+                          EXIT_PRECONDITION, NONLINEAR_COLUMNS, _built_problem,
+                          _write_trajectory_csv, build_linear_problem, load_config, main)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -82,8 +82,10 @@ def blur_solve(tmp_path_factory):
     ("convergence", {"delta_sequence": [1e-2, 1e-3, 1e-4]}),
 ])
 def test_one_spectral_decomposition_per_command(tmp_path, monkeypatch, command, fields):
-    # normalize's SVD plus the generator's decompose; the commands read the
-    # problem's own decomposition instead of taking a third
+    # normalize's SVD plus the generator's decompose, once per process and
+    # problem; the commands read the problem's own decomposition instead of
+    # taking a third
+    _built_problem.cache_clear()
     calls = []
     svd = np.linalg.svd
 
@@ -91,10 +93,61 @@ def test_one_spectral_decomposition_per_command(tmp_path, monkeypatch, command, 
         calls.append(kwargs.get("compute_uv", True))
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": 64, "width": 0.05},
-                        seed=7, **fields)
-    assert main([command, "--config", str(path), "--quiet"]) == EXIT_OK
+
+    def run(n, seed, **more):
+        path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": n, "width": 0.05},
+                            seed=seed, **{**fields, **more})
+        assert main([command, "--config", str(path), "--quiet"]) == EXIT_OK
+
+    run(64, 7)
     assert calls == [False, True]
+    run(64, 8)
+    run(64, 7, C=1.5)
+    assert calls == [False, True]
+    run(32, 7)
+    assert calls == [False, True, False, True]
+
+
+DSM_SOLVE_INPUTS = ((64, 1e-2), (64, 1e-4), (64, 1e-6), (256, 1e-2))
+
+
+def test_cold_and_warm_runs_write_the_same_bytes(tmp_path):
+    def run(n, delta):
+        path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": n, "width": 0.05},
+                            delta=delta, seed=7)
+        assert main(["solve", "--config", str(path), "--quiet", "--store-trajectory"]) == EXIT_OK
+        return [(tmp_path / "out" / name).read_bytes()
+                for name in ("results.json", "trajectory.csv")]
+
+    cold = []
+    for n, delta in DSM_SOLVE_INPUTS:
+        _built_problem.cache_clear()
+        cold.append(run(n, delta))
+    _built_problem("gaussian_blur", 64, 0.05)  # the last cold run left n = 256
+    hits = _built_problem.cache_info().hits
+    assert [run(n, delta) for n, delta in DSM_SOLVE_INPUTS] == cold
+    assert _built_problem.cache_info().hits == hits + len(DSM_SOLVE_INPUTS)
+
+
+def test_rank_deficient_problem_seed_defaults_to_the_config_seed(tmp_path):
+    problem = {"name": "rank_deficient", "n": 12, "rank": 6}
+    built = [build_linear_problem(load_config(
+        write_config(tmp_path, f"{seed}.json", problem=problem, delta=0.01, seed=seed)))
+        for seed in (1, 2)]
+    assert not np.array_equal(built[0].operator.entries, built[1].operator.entries)
+    for seed, prob in zip((1, 2), built):
+        fresh = rank_deficient_problem(12, 6, seed)
+        assert prob.operator.entries.tobytes() == fresh.operator.entries.tobytes()
+        assert prob.label == fresh.label
+
+
+def test_failed_build_is_not_cached(tmp_path, capsys):
+    path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": 4}, delta=0.01)
+    misses = _built_problem.cache_info().misses
+    for _ in range(2):
+        assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert "n must lie in [8, 256]" in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert _built_problem.cache_info().misses == misses + 2
 
 
 class TestSolve:
@@ -351,13 +404,38 @@ class TestConfigParsing:
         ("nonlinear", {"problem": {"name": "cubic", "n": 8.5}, "C": 1.1,
                        "delta_sequence": [1e-1, 1e-2]}, "problem.n"),
         ("solve", {"schedule": {"c0": True}}, "c0"),
-    ], ids=["blur_n", "hilbert_n_bool", "rank", "problem_seed", "cubic_n", "schedule_c0"])
+        ("solve", {"problem": {"name": "gaussian_blur", "width": True}}, "problem.width"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 4, "coefficients": True}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "problem.coefficients"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 2, "coefficients": [1.0, False]},
+                       "C": 1.1, "delta_sequence": [1e-1, 1e-2]}, "problem.coefficients"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 2, "y": [True, 0.5]}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "problem.y"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 1, "y": True}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "problem.y"),
+    ], ids=["blur_n", "hilbert_n_bool", "rank", "problem_seed", "cubic_n", "schedule_c0",
+            "blur_width_bool", "cubic_coefficients_bool", "cubic_coefficients_list_bool",
+            "cubic_y_list_bool", "cubic_y_bool"])
     def test_nested_numbers_rejected_before_any_computation(self, tmp_path, capsys,
                                                            command, overrides, field):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})
         assert main([command, "--config", str(path), "--quiet"]) == EXIT_CONFIG
         assert field in json.loads(capsys.readouterr().out)["error"]["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("solve", {"problem": {"name": "gaussian_blur", "n": 4}}, "n must lie in [8, 256]"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 4, "coefficients": -1}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "coefficients must be positive"),
+        ("solve", {"delta": 5.0}, "not below the exact data norm"),
+    ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm"])
+    def test_no_output_directory_on_config_error(self, tmp_path, capsys, command,
+                                                 overrides, message):
+        path = write_config(tmp_path, **{"delta": 0.1, **overrides})
+        assert main([command, "--config", str(path), "--output", str(tmp_path / "o1"),
+                     "--quiet"]) == EXIT_CONFIG
+        assert message in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not (tmp_path / "o1").exists()
 
     def test_config_hash_stable_under_whitespace(self, tmp_path):
         p1 = write_config(tmp_path, "a.json", delta=0.1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -221,12 +223,35 @@ class TestNoise:
         assert np.array_equal(a.y_reference, b.y_reference)
 
 
-@pytest.mark.parametrize("make", [
+GENERATORS = pytest.mark.parametrize("make", [
     lambda: identity_problem(4),
     lambda: hilbert_problem(8),
     lambda: gaussian_blur_problem(64, 0.05),
     lambda: rank_deficient_problem(12, 6, 3),
 ], ids=["identity", "hilbert", "gaussian_blur", "rank_deficient"])
+
+
+def _arrays(obj):
+    """Every array reachable through the dataclass fields of ``obj``."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+@GENERATORS
+def test_every_array_of_a_problem_is_read_only(make):
+    # the CLI shares one built problem between requests on this property
+    arrays = list(_arrays(make()))
+    assert len(arrays) == 7  # entries, f, y, three decomposition arrays, lambdas
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+@GENERATORS
 def test_decomposition_is_bitwise_that_of_the_operator(make):
     prob = make()
     fresh = decompose(prob.operator)
