@@ -146,6 +146,9 @@ def load_config(path) -> ExperimentConfig:
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
 
     dsm_config = DSMConfig(relative_tolerance=rel, absolute_tolerance=abs_)
 
@@ -160,7 +163,7 @@ def load_config(path) -> ExperimentConfig:
         in_range_closure=flags["in_range_closure"],
         dsm_config=dsm_config,
         store_trajectory=flags["store_trajectory"],
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=output_dir,
         raw=raw,
     )
 
@@ -446,12 +449,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_dir(path: str) -> Path:
+    """``path``, once its nearest existing ancestor (or itself) is a directory."""
+    out_dir = Path(path)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {str(out_dir)!r} cannot be made: "
+                          f"{str(existing)!r} is not a directory")
+    return out_dir
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        out_dir = Path(args.output if args.output is not None else cfg.output_dir)
+        out_dir = _output_dir(args.output if args.output is not None else cfg.output_dir)
         store = args.store_trajectory or cfg.store_trajectory
         return _COMMANDS[args.command](cfg, out_dir, store, args.quiet)
     except ConfigError as exc:

@@ -5,10 +5,11 @@ F(u) = ||A(u) - f_delta||^2 + eps ||u||^2 is near-minimized to within a
 certified gap, and the regularization strength is chosen as the smallest
 eps at which the near-minimizer's residual equals C * delta (C > 1).
 
-Separable operators (coordinatewise strictly increasing scalar maps) get
-a rigorous per-coordinate gap certificate from golden-section search;
-general operators are handled best-effort by coordinate descent with an
-explicitly uncertified gap.
+Near-minimization takes separable operators (coordinatewise strictly
+increasing scalar maps) only: golden-section search gives each coordinate
+a rigorous gap certificate, and their sum certifies the point.  Any other
+monotone operator is refused with PreconditionError; ``MonotoneOperator``
+remains the type that :func:`check_monotonicity` spot-checks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .operators import _frozen, as_vector
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCALAR_MAX_ITER = 600
-_GOLDEN_ITERS = 120
-_MAX_SWEEPS = 200
 _SCAN_EPS_MIN = 1e-14
 _SCAN_EPS_MAX = 1e12
 _SCAN_RATIO = 2.0
@@ -37,8 +36,6 @@ class MonotoneOperator:
     same vector out); monotonicity means (A(u) - A(v), u - v) >= 0 for
     all u, v, which :func:`check_monotonicity` spot-checks.
     """
-
-    structure = "general"
 
     def __init__(self, dimension: int, evaluate):
         if dimension < 1:
@@ -63,8 +60,6 @@ class SeparableMonotoneOperator(MonotoneOperator):
     continuous and nondecreasing (strictly increasing in shipped
     instances), so the regularized functional splits per coordinate."""
 
-    structure = "separable"
-
     def __init__(self, phis):
         self.phis = tuple(phis)
         if not self.phis:
@@ -75,14 +70,13 @@ class SeparableMonotoneOperator(MonotoneOperator):
 
 @dataclass(frozen=True, eq=False)
 class NearMinimizer:
-    """A point whose functional value provably (or heuristically) sits
-    within ``gap_certificate`` of the infimum at the given eps."""
+    """A point whose functional value provably sits within
+    ``gap_certificate`` of the infimum at the given eps."""
 
     u: np.ndarray
     F_value: float
     gap_certificate: float
     epsilon: float
-    certified: bool
 
     def __post_init__(self):
         object.__setattr__(self, "u", _frozen(self.u))
@@ -153,16 +147,20 @@ def _certified_scalar_min(phi, g: float, eps: float, radius: float,
     return best[0], max(cert, 0.0)
 
 
-def near_minimize(op: MonotoneOperator, f_delta, eps: float,
+def near_minimize(op: SeparableMonotoneOperator, f_delta, eps: float,
                   gap_budget: float) -> NearMinimizer:
     """Minimize the regularized functional to within ``gap_budget``.
 
-    Separable operators are minimized coordinate by coordinate with a
-    summed certificate; general operators run derivative-free coordinate
-    descent until a full sweep improves the functional by less than
-    gap_budget / (10 * dimension), and the reported gap is heuristic
-    (``certified`` False).
+    The operator must be separable: each coordinate is minimized by
+    golden-section search to a certified share gap_budget / dimension, and
+    the shares' sum is the point's certificate.  Any other operator raises
+    PreconditionError.  A coordinate whose share is out of reach raises
+    NumericalError carrying the point so far, whose certificate exceeds
+    the budget.
     """
+    if not isinstance(op, SeparableMonotoneOperator):
+        raise PreconditionError(
+            f"near-minimization needs a SeparableMonotoneOperator, got {type(op).__name__}")
     if gap_budget <= 0:
         raise PreconditionError(f"gap_budget must be positive, got {gap_budget}")
     if eps <= 0:
@@ -173,18 +171,8 @@ def near_minimize(op: MonotoneOperator, f_delta, eps: float,
             f"data vector has length {f.shape[0]}, operator expects {op.dimension}")
     a0 = op(np.zeros(op.dimension))
     radius = _search_radius(float(np.linalg.norm(f) + np.linalg.norm(a0)), eps)
-
-    if op.structure == "separable":
-        return _near_minimize_separable(op, f, eps, gap_budget, radius)
-    return _near_minimize_general(op, f, eps, gap_budget, radius)
-
-
-def _near_minimize_separable(op: SeparableMonotoneOperator, f: np.ndarray,
-                             eps: float, gap_budget: float,
-                             radius: float) -> NearMinimizer:
-    n = op.dimension
-    per_coord = gap_budget / n
-    u = np.zeros(n)
+    per_coord = gap_budget / op.dimension
+    u = np.zeros(op.dimension)
     total_cert = 0.0
     for i, phi in enumerate(op.phis):
         u[i], cert = _certified_scalar_min(phi, f[i], eps, radius, per_coord)
@@ -193,59 +181,9 @@ def _near_minimize_separable(op: SeparableMonotoneOperator, f: np.ndarray,
             raise NumericalError(
                 f"near-minimization budget unreachable at coordinate {i}",
                 best=NearMinimizer(u=u, F_value=functional_F(op, f, eps, u),
-                                   gap_certificate=total_cert, epsilon=eps,
-                                   certified=False))
+                                   gap_certificate=total_cert, epsilon=eps))
     return NearMinimizer(u=u, F_value=functional_F(op, f, eps, u),
-                         gap_certificate=total_cert, epsilon=eps, certified=True)
-
-
-def _near_minimize_general(op: MonotoneOperator, f: np.ndarray, eps: float,
-                           gap_budget: float, radius: float) -> NearMinimizer:
-    n = op.dimension
-    u = np.zeros(n)
-    value = functional_F(op, f, eps, u)
-    stop_gain = gap_budget / (10.0 * n)
-    last_gain = math.inf
-    for _ in range(_MAX_SWEEPS):
-        gain = 0.0
-        for i in range(n):
-            def slice_val(x: float, i=i) -> float:
-                trial = u.copy()
-                trial[i] = x
-                return functional_F(op, f, eps, trial)
-
-            xi = _golden_scalar(slice_val, u[i] - radius, u[i] + radius)
-            candidate = slice_val(xi)
-            if candidate < value:
-                gain += value - candidate
-                u[i] = xi
-                value = candidate
-        last_gain = gain
-        if gain < stop_gain:
-            return NearMinimizer(u=u, F_value=value, gap_certificate=gain * n,
-                                 epsilon=eps, certified=False)
-    raise NumericalError(
-        "coordinate descent failed to meet the gap budget within the sweep cap",
-        best=NearMinimizer(u=u, F_value=value, gap_certificate=last_gain * n,
-                           epsilon=eps, certified=False))
-
-
-def _golden_scalar(fun, a: float, b: float) -> float:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
-            break
-    return c if fc <= fd else d
+                         gap_certificate=total_cert, epsilon=eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +194,6 @@ class NonlinearStopping:
     u_delta: np.ndarray
     residual: float
     gap_certificate: float
-    certified: bool
     F_value: float
     trace: tuple
 
@@ -264,16 +201,18 @@ class NonlinearStopping:
         object.__setattr__(self, "u_delta", _frozen(self.u_delta))
 
 
-def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
+def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: float,
                                  C: float = 1.1) -> NonlinearStopping:
     """Locate the smallest eps with ||A(u_{delta,eps}) - f_delta|| = C * delta.
 
     An ascending geometric scan (ratio 2 from 1e-14) finds the first
     bracket where the residual crosses the target; bisection on log(eps)
-    refines it to 1e-10 relative width.  Near-minimizers are cached per
-    eps, and the bracket's upper end is returned so the residual sits at
-    or marginally above the target; a bracket that collapses more than
-    1e-9 ||f_delta|| off target raises NumericalError.
+    refines it to 1e-10 relative width.  Each eps's near-minimizer and
+    residual are computed once and cached, and the cache's insertion order
+    is the trace.  The bracket's upper end is returned so the residual sits
+    at or marginally above the target; a bracket that collapses more than
+    1e-9 ||f_delta|| off target raises NumericalError.  The operator must
+    be separable (see :func:`near_minimize`).
     """
     if not C > 1.0:
         raise PreconditionError(f"C must exceed 1 for the nonlinear principle, got {C}")
@@ -290,18 +229,17 @@ def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
             f"||A(0) - f_delta|| = {residual_zero} must exceed C*delta = {target}")
 
     budget = (C * C - 1.0) * delta * delta
-    cache: dict[float, NearMinimizer] = {}
-    trace: list[tuple[float, float, float, float]] = []
+    cache: dict[float, tuple[NearMinimizer, float]] = {}
 
     def h(eps: float) -> float:
-        nm = cache.get(eps)
-        if nm is None:
+        if eps not in cache:
             nm = near_minimize(op, f, eps, budget)
-            cache[eps] = nm
-            trace.append((eps, float(np.linalg.norm(op(nm.u) - f)),
-                          nm.F_value, nm.gap_certificate))
-            return trace[-1][1]
-        return float(np.linalg.norm(op(nm.u) - f))
+            cache[eps] = nm, float(np.linalg.norm(op(nm.u) - f))
+        return cache[eps][1]
+
+    def trace() -> tuple:
+        return tuple((eps, residual, nm.F_value, nm.gap_certificate)
+                     for eps, (nm, residual) in cache.items())
 
     lo = None
     eps = _SCAN_EPS_MIN
@@ -315,8 +253,7 @@ def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
         eps *= _SCAN_RATIO
     else:
         raise NumericalError(
-            "discrepancy equation has no root in scan range",
-            trace=tuple(trace))
+            "discrepancy equation has no root in scan range", trace=trace())
 
     resid_tol = 1e-9 * float(np.linalg.norm(f))
     for _ in range(250):
@@ -332,16 +269,14 @@ def nonlinear_discrepancy_result(op: MonotoneOperator, f_delta, delta: float,
         else:
             hi = mid
 
-    nm = cache[hi]
-    residual = h(hi)
+    nm, residual = cache[hi]
     if abs(residual - target) > resid_tol:
         raise NumericalError(
             f"bisection bracket collapsed at eps = {hi:.6e} with the residual "
-            f"{abs(residual - target):.3e} off C*delta", trace=tuple(trace), best=nm)
+            f"{abs(residual - target):.3e} off C*delta", trace=trace(), best=nm)
     return NonlinearStopping(epsilon_delta=hi, u_delta=nm.u, residual=residual,
-                             gap_certificate=nm.gap_certificate,
-                             certified=nm.certified, F_value=nm.F_value,
-                             trace=tuple(trace))
+                             gap_certificate=nm.gap_certificate, F_value=nm.F_value,
+                             trace=trace())
 
 
 def check_monotonicity(op: MonotoneOperator, pairs: int = 1000, seed: int = 0,

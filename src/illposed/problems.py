@@ -135,7 +135,13 @@ def cubic_separable_problem(n: int, coefficients, y) -> tuple[SeparableMonotoneO
     Returns the operator and f = A(y); y is the unique solution of
     A(u) = f, hence minimal-norm.
     """
-    a = np.broadcast_to(np.asarray(coefficients, dtype=float), (n,)).copy()
+    if n < 1:
+        raise PreconditionError(f"n must be positive, got {n}")
+    a = np.asarray(coefficients, dtype=float)
+    if a.shape not in ((), (n,)):
+        raise PreconditionError(
+            f"cubic coefficients must be a scalar or {n} values, got shape {a.shape}")
+    a = np.broadcast_to(a, (n,)).copy()
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise PreconditionError("cubic coefficients must be positive and finite")
     yv = as_vector(y, "reference solution")

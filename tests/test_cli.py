@@ -193,14 +193,22 @@ class TestSolve:
             f"state_{i}" for i in range(64)]
 
     def test_byte_identical_reruns(self, tmp_path):
-        path = write_config(tmp_path, problem={"name": "hilbert", "n": 6},
-                            delta=0.01, seed=5)
-        argv = ["solve", "--config", str(path), "--quiet", "--store-trajectory"]
-        artifacts = ("results.json", "trajectory.csv")
-        assert main(argv) == EXIT_OK
-        first = [(tmp_path / "out" / name).read_bytes() for name in artifacts]
-        assert main(argv) == EXIT_OK
-        assert [(tmp_path / "out" / name).read_bytes() for name in artifacts] == first
+        solve = write_config(tmp_path, "solve.json", problem={"name": "hilbert", "n": 6},
+                             delta=0.01, seed=5)
+        # the 1e-4 row is a collapsed-bracket failure, so failure rows are pinned too
+        nonlinear = write_config(tmp_path, "nonlinear.json", problem={"name": "cubic", "n": 8},
+                                 C=1.1, seed=6, delta_sequence=[1e-1, 1e-2, 1e-3, 1e-4])
+        for command, path, artifacts in [
+                ("solve", solve, ("results.json", "trajectory.csv")),
+                ("nonlinear", nonlinear,
+                 ("nonlinear.csv", "scan_trace_0.csv", "scan_trace_1.csv", "scan_trace_2.csv"))]:
+            argv = [command, "--config", str(path), "--quiet", "--store-trajectory"]
+            assert main(argv) == EXIT_OK
+            first = [(tmp_path / "out" / name).read_bytes() for name in artifacts]
+            assert main(argv) == EXIT_OK
+            assert [(tmp_path / "out" / name).read_bytes() for name in artifacts] == first
+        assert b"bracket collapsed" in (tmp_path / "out" / "nonlinear.csv").read_bytes()
+        assert not (tmp_path / "out" / "scan_trace_3.csv").exists()
 
     def test_null_space_rejection(self, tmp_path, capsys):
         path = write_config(
@@ -388,6 +396,8 @@ class TestConfigParsing:
         ("seed", 7.9), ("seed", True), ("C", True), ("delta", True),
         ("delta_sequence", [True, 1e-1, 1e-2]), ("relative_tolerance", True),
         ("absolute_tolerance", True),
+        # a path must be a JSON string
+        ("output_dir", True),
     ])
     def test_rejected_before_any_computation(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path, **{"delta": 0.1, field: value})
@@ -428,7 +438,13 @@ class TestConfigParsing:
         ("nonlinear", {"problem": {"name": "cubic", "n": 4, "coefficients": -1}, "C": 1.1,
                        "delta_sequence": [1e-1, 1e-2]}, "coefficients must be positive"),
         ("solve", {"delta": 5.0}, "not below the exact data norm"),
-    ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm"])
+        ("nonlinear", {"problem": {"name": "cubic", "n": -1}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "n must be positive"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 4, "coefficients": [1, 2]},
+                       "C": 1.1, "delta_sequence": [1e-1, 1e-2]},
+         "coefficients must be a scalar or 4 values"),
+    ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm",
+            "cubic_n_negative", "cubic_coefficients_length"])
     def test_no_output_directory_on_config_error(self, tmp_path, capsys, command,
                                                  overrides, message):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})
@@ -436,6 +452,18 @@ class TestConfigParsing:
                      "--quiet"]) == EXIT_CONFIG
         assert message in json.loads(capsys.readouterr().out)["error"]["message"]
         assert not (tmp_path / "o1").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_output_naming_a_file_rejected_before_any_command(self, tmp_path, capsys,
+                                                               under):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"keep me\n")
+        output = afile / "sub" if under else afile
+        path = write_config(tmp_path, delta=0.1, noise=False)
+        assert main(["solve", "--config", str(path), "--output", str(output),
+                     "--quiet"]) == EXIT_CONFIG
+        assert "is not a directory" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert afile.read_bytes() == b"keep me\n"
 
     def test_config_hash_stable_under_whitespace(self, tmp_path):
         p1 = write_config(tmp_path, "a.json", delta=0.1)

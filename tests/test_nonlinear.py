@@ -67,7 +67,6 @@ class TestNearMinimize:
         nm = near_minimize(op, g, eps, 1e-10)
         expected = a * g / (a * a + eps)
         assert np.max(np.abs(nm.u - expected)) <= 1e-5
-        assert nm.certified
         assert nm.gap_certificate <= 1e-10
 
     def test_cubic_recovers_reference(self):
@@ -101,19 +100,14 @@ class TestNearMinimize:
             assert nm.F_value - sum(oracle_vals) <= budget + 1e-13
             assert nm.gap_certificate <= budget
 
-    def test_general_operator_uncertified(self):
-        def tanh_map(u):
-            return u + np.tanh(u)
-
-        op = MonotoneOperator(3, tanh_map)
+    def test_general_operator_rejected(self):
+        # only a separable operator has a certified near-minimizer
+        op = MonotoneOperator(3, lambda u: u + np.tanh(u))
         f = np.array([0.5, -1.0, 2.0])
-        nm = near_minimize(op, f, 1e-3, 1e-6)
-        assert not nm.certified
-        # cross-check against the separable route for the same coordinatewise map
-        sep = SeparableMonotoneOperator(
-            tuple((lambda x: x + np.tanh(x)) for _ in range(3)))
-        ref = near_minimize(sep, f, 1e-3, 1e-10)
-        assert nm.F_value <= ref.F_value + 1e-6
+        with pytest.raises(PreconditionError, match="SeparableMonotoneOperator"):
+            near_minimize(op, f, 1e-3, 1e-6)
+        with pytest.raises(PreconditionError, match="SeparableMonotoneOperator"):
+            nonlinear_discrepancy_result(op, f, 1e-2, 1.1)
 
     def test_unreachable_budget_fails_fast_with_the_best_point(self):
         # a per-coordinate share far below rounding: coordinate 0 spends its
@@ -126,7 +120,6 @@ class TestNearMinimize:
         assert time.perf_counter() - start < 1.0
         best = info.value.best
         assert np.array_equal(best.u[1:], [0.0, 0.0])
-        assert best.certified is False
         assert best.gap_certificate > 1e-25
         assert best.F_value == functional_F(op, f, 1e-3, best.u)
 
@@ -155,7 +148,6 @@ class TestDiscrepancy:
         res = nonlinear_discrepancy_result(op, f, delta, C)
         assert abs(res.residual - C * delta) <= 1e-8 * np.linalg.norm(f)
         assert res.gap_certificate <= (C * C - 1.0) * delta * delta
-        assert res.certified
 
     def test_convergence_toward_reference(self):
         op, f_exact, y = cubic_op(8)
