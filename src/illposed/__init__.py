@@ -14,15 +14,13 @@ from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
 from .dsm import DSMConfig, DSMResult, Trajectory, evolve, run_dsm
 from .errors import (ConfigError, DimensionMismatchError, IllposedError,
                      NumericalError, PreconditionError)
-from .nonlinear import (MonotoneOperator, NearMinimizer, NonlinearStopping,
+from .nonlinear import (NearMinimizer, NonlinearStopping,
                         SeparableMonotoneOperator, check_monotonicity,
                         functional_F, near_minimize, nonlinear_discrepancy_result)
 from .operators import (DenseOperator, SpectralDecomposition, as_vector,
-                        decompose, load_matrix, load_operator, load_vector,
-                        normalize, project_range_closure,
+                        decompose, normalize, project_range_closure,
                         regularized_normal_solve,
-                        regularized_normal_solve_direct, save_matrix,
-                        save_operator, save_vector)
+                        regularized_normal_solve_direct)
 from .problems import (NoiseSpec, TestProblem, add_noise,
                        cubic_separable_problem, gaussian_blur_problem,
                        hilbert_problem, identity_problem,
@@ -41,7 +39,6 @@ __all__ = [
     "DimensionMismatchError",
     "DiscrepancyProfile",
     "IllposedError",
-    "MonotoneOperator",
     "NearMinimizer",
     "NoiseSpec",
     "NonlinearStopping",
@@ -67,9 +64,6 @@ __all__ = [
     "gaussian_blur_problem",
     "hilbert_problem",
     "identity_problem",
-    "load_matrix",
-    "load_operator",
-    "load_vector",
     "near_minimize",
     "nonlinear_discrepancy_result",
     "normalize",
@@ -78,9 +72,6 @@ __all__ = [
     "regularized_normal_solve",
     "regularized_normal_solve_direct",
     "run_dsm",
-    "save_matrix",
-    "save_operator",
-    "save_vector",
     "solve_for_epsilon",
     "stop_from_profile",
     "stopping_time",

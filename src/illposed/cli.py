@@ -78,10 +78,14 @@ class ExperimentConfig:
 
 
 def _number(value, key: str, kind=float):
-    """``value`` as ``kind``, refusing what the cast would coerce: true as 1, 7.9 as 7."""
-    if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+    """``value`` as ``kind`` if it is a JSON number the cast keeps: no "1e-2",
+    no true as 1, and for an int no 7.9 as 7."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ConfigError(f"{key!r} must be a number of type {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key!r} is too large for a float") from None
 
 
 def _numbers(value, key: str):
@@ -95,7 +99,7 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a non-UTF-8 file, or an integer too long to parse
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -105,28 +109,32 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError('config needs a "problem" object with a "name" field')
     for key in ("n", "rank", "seed"):
         _number(problem.get(key, 0), f"problem.{key}", int)
+    seq = raw.get("delta_sequence", [])
+    if not isinstance(seq, list):
+        raise ConfigError(f"'delta_sequence' must be a list of numbers, got {seq!r}")
 
     sched_raw = raw.get("schedule", {})
     if not isinstance(sched_raw, dict):
         raise ConfigError('"schedule" must be an object with fields c0, c1, b')
 
-    try:
-        schedule = PowerLawSchedule(
-            c0=_number(sched_raw.get("c0", 1.0), "c0"),
-            c1=_number(sched_raw.get("c1", 1.0), "c1"),
-            b=_number(sched_raw.get("b", 0.5), "b"),
-        )
-        C = _number(raw.get("C", 1.0), "C")
-        delta = None if raw.get("delta") is None else _number(raw["delta"], "delta")
-        seq = tuple(_number(d, "delta_sequence") for d in raw.get("delta_sequence", ()))
-        seed = _number(raw.get("seed", 0), "seed", int)
-        rel = _number(raw.get("relative_tolerance", 1e-8), "relative_tolerance")
-        abs_ = _number(raw.get("absolute_tolerance", 1e-12), "absolute_tolerance")
-        problem = {**problem, **{key: _numbers(problem[key], f"problem.{key}")
-                                 for key in ("width", "coefficients", "y")
-                                 if key in problem}}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed numeric config field: {exc}") from None
+    schedule = PowerLawSchedule(
+        c0=_number(sched_raw.get("c0", 1.0), "c0"),
+        c1=_number(sched_raw.get("c1", 1.0), "c1"),
+        b=_number(sched_raw.get("b", 0.5), "b"),
+    )
+    C = _number(raw.get("C", 1.0), "C")
+    delta = None if raw.get("delta") is None else _number(raw["delta"], "delta")
+    seq = tuple(_number(d, "delta_sequence") for d in seq)
+    seed = _number(raw.get("seed", 0), "seed", int)
+    rel = _number(raw.get("relative_tolerance", 1e-8), "relative_tolerance")
+    abs_ = _number(raw.get("absolute_tolerance", 1e-12), "absolute_tolerance")
+    problem = {**problem, **{key: _numbers(problem[key], f"problem.{key}")
+                             for key in ("width", "coefficients", "y")
+                             if key in problem}}
+
+    for key, value in (("seed", seed), ("problem.seed", problem.get("seed", 0))):
+        if value < 0:
+            raise ConfigError(f"{key!r} must be a non-negative integer, got {value}")
 
     if not (C >= 1.0 and math.isfinite(C)):
         raise ConfigError(f"C must be finite and at least 1, got {C}")

@@ -5,11 +5,10 @@ F(u) = ||A(u) - f_delta||^2 + eps ||u||^2 is near-minimized to within a
 certified gap, and the regularization strength is chosen as the smallest
 eps at which the near-minimizer's residual equals C * delta (C > 1).
 
-Near-minimization takes separable operators (coordinatewise strictly
-increasing scalar maps) only: golden-section search gives each coordinate
-a rigorous gap certificate, and their sum certifies the point.  Any other
-monotone operator is refused with PreconditionError; ``MonotoneOperator``
-remains the type that :func:`check_monotonicity` spot-checks.
+The one operator type is ``SeparableMonotoneOperator``, coordinatewise
+strictly increasing scalar maps: golden-section search gives each
+coordinate a rigorous gap certificate, and their sum certifies the point.
+Any other operator is refused with PreconditionError.
 """
 
 from __future__ import annotations
@@ -29,43 +28,38 @@ _SCAN_EPS_MAX = 1e12
 _SCAN_RATIO = 2.0
 
 
-class MonotoneOperator:
-    """A monotone, continuous map defined on the whole space.
+class SeparableMonotoneOperator:
+    """Coordinatewise operator A(u)_i = phi_i(u_i) with each phi_i
+    continuous and nondecreasing (strictly increasing in shipped
+    instances), so the regularized functional splits per coordinate.
 
-    ``evaluate`` must be a pure function of its input (same vector in,
-    same vector out); monotonicity means (A(u) - A(v), u - v) >= 0 for
-    all u, v, which :func:`check_monotonicity` spot-checks.
+    Each phi_i must be a pure function of its scalar input; monotonicity
+    means (A(u) - A(v), u - v) >= 0 for all u, v, which
+    :func:`check_monotonicity` spot-checks.
     """
 
-    def __init__(self, dimension: int, evaluate):
-        if dimension < 1:
-            raise PreconditionError(f"dimension must be positive, got {dimension}")
-        self.dimension = int(dimension)
-        self._evaluate = evaluate
+    def __init__(self, phis):
+        self.phis = tuple(phis)
+        if not self.phis:
+            raise PreconditionError("separable operator needs at least one coordinate map")
+        self.dimension = len(self.phis)
 
     def __call__(self, u) -> np.ndarray:
         v = as_vector(u, "operator argument")
         if v.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"operator argument has length {v.shape[0]}, expected {self.dimension}")
-        out = np.asarray(self._evaluate(v), dtype=float)
+        out = np.array([phi(x) for phi, x in zip(self.phis, v)], dtype=float)
         if out.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"operator returned shape {out.shape}, expected ({self.dimension},)")
         return out
 
 
-class SeparableMonotoneOperator(MonotoneOperator):
-    """Coordinatewise operator A(u)_i = phi_i(u_i) with each phi_i
-    continuous and nondecreasing (strictly increasing in shipped
-    instances), so the regularized functional splits per coordinate."""
-
-    def __init__(self, phis):
-        self.phis = tuple(phis)
-        if not self.phis:
-            raise PreconditionError("separable operator needs at least one coordinate map")
-        super().__init__(len(self.phis),
-                         lambda u: np.array([phi(x) for phi, x in zip(self.phis, u)]))
+def _require_separable(op) -> None:
+    if not isinstance(op, SeparableMonotoneOperator):
+        raise PreconditionError(
+            f"near-minimization needs a SeparableMonotoneOperator, got {type(op).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +76,7 @@ class NearMinimizer:
         object.__setattr__(self, "u", _frozen(self.u))
 
 
-def functional_F(op: MonotoneOperator, f_delta, eps: float, u) -> float:
+def functional_F(op: SeparableMonotoneOperator, f_delta, eps: float, u) -> float:
     """||A(u) - f_delta||^2 + eps ||u||^2."""
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
@@ -158,9 +152,7 @@ def near_minimize(op: SeparableMonotoneOperator, f_delta, eps: float,
     NumericalError carrying the point so far, whose certificate exceeds
     the budget.
     """
-    if not isinstance(op, SeparableMonotoneOperator):
-        raise PreconditionError(
-            f"near-minimization needs a SeparableMonotoneOperator, got {type(op).__name__}")
+    _require_separable(op)
     if gap_budget <= 0:
         raise PreconditionError(f"gap_budget must be positive, got {gap_budget}")
     if eps <= 0:
@@ -214,6 +206,7 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
     1e-9 ||f_delta|| off target raises NumericalError.  The operator must
     be separable (see :func:`near_minimize`).
     """
+    _require_separable(op)
     if not C > 1.0:
         raise PreconditionError(f"C must exceed 1 for the nonlinear principle, got {C}")
     if delta <= 0:
@@ -279,7 +272,7 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
                              trace=trace())
 
 
-def check_monotonicity(op: MonotoneOperator, pairs: int = 1000, seed: int = 0,
+def check_monotonicity(op: SeparableMonotoneOperator, pairs: int = 1000, seed: int = 0,
                        scale: float = 1.0) -> float:
     """Smallest inner product (A(u)-A(v), u-v) over seeded random pairs.
 

@@ -1,9 +1,10 @@
 """Dense linear operators over real finite-dimensional spaces.
 
-Provides the matrix-backed operator type, its singular-value decomposition
-cut at the numerical rank, regularized normal-equation solves through two
-independent code paths (the second, a test oracle, loads scipy), null-space
-projections, and a plain-text serialization format.
+Provides the matrix-backed operator type and its singular-value
+decomposition cut at the numerical rank, 1e-12 times the largest singular
+value.  Every stage reads that decomposition: regularized normal-equation
+solves, range projections and discrepancy profiles.  A second solve by
+Cholesky factorization, a test oracle, loads scipy.
 """
 
 from __future__ import annotations
@@ -75,22 +76,6 @@ class DenseOperator:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def apply(self, x) -> np.ndarray:
-        """Return ``A x``."""
-        v = as_vector(x, "input vector")
-        if v.shape[0] != self.cols:
-            raise DimensionMismatchError(
-                f"apply: vector has length {v.shape[0]}, operator has {self.cols} columns")
-        return self.entries @ v
-
-    def adjoint_apply(self, y) -> np.ndarray:
-        """Return ``A^T y``; satisfies (A x, y) = (x, A^T y)."""
-        v = as_vector(y, "input vector")
-        if v.shape[0] != self.rows:
-            raise DimensionMismatchError(
-                f"adjoint_apply: vector has length {v.shape[0]}, operator has {self.rows} rows")
-        return self.entries.T @ v
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
@@ -140,18 +125,13 @@ def normalize(A: DenseOperator) -> tuple[DenseOperator, float]:
     return DenseOperator(A.entries / scale), scale
 
 
-def decompose(A: DenseOperator,
-              rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> SpectralDecomposition:
+def decompose(A: DenseOperator) -> SpectralDecomposition:
     """Keep the singular triplets of ``A`` whose singular values exceed
-    ``rank_tolerance`` times the largest one."""
-    if not 0.0 <= rank_tolerance < 1.0:
-        raise PreconditionError(
-            f"rank_tolerance must lie in [0, 1), got {rank_tolerance}")
-    if not np.all(np.isfinite(A.entries)):
-        raise PreconditionError("operator entries must be finite")
+    ``DEFAULT_RANK_TOLERANCE`` times the largest one.  ``A``'s entries are
+    finite: ``DenseOperator`` checked them when it froze them."""
     U, s, Vt = np.linalg.svd(A.entries, full_matrices=False)
     sigma1 = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > rank_tolerance * sigma1))
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOLERANCE * sigma1))
     return SpectralDecomposition(singular_values=s[:rank], left_vectors=U[:, :rank],
                                  right_vectors=Vt[:rank].T)
 
@@ -199,53 +179,3 @@ def project_range_closure(dec: SpectralDecomposition, f) -> tuple[np.ndarray, fl
     proj = U @ (U.T @ v)
     d = v - proj
     return proj, float(d @ d)
-
-
-# -- plain-text serialization ------------------------------------------------
-#
-# Format: first line "rows cols", then one whitespace-separated row per
-# line, 17 significant digits (lossless round trip for float64).
-
-def save_matrix(path, array) -> None:
-    a = np.atleast_2d(np.asarray(array, dtype=float))
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"cannot serialize array of shape {a.shape}")
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise PreconditionError(f"malformed matrix header in {path}")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (rows, cols):
-        raise PreconditionError(
-            f"matrix body {data.shape} does not match header ({rows}, {cols}) in {path}")
-    if not np.all(np.isfinite(data)):
-        raise PreconditionError(f"non-finite entries in {path}")
-    return data
-
-
-def save_operator(path, A: DenseOperator) -> None:
-    save_matrix(path, A.entries)
-
-
-def load_operator(path) -> DenseOperator:
-    return DenseOperator(load_matrix(path))
-
-
-def save_vector(path, v) -> None:
-    save_matrix(path, as_vector(v).reshape(-1, 1))
-
-
-def load_vector(path) -> np.ndarray:
-    m = load_matrix(path)
-    if m.shape[1] != 1:
-        raise PreconditionError(f"expected a column vector in {path}, got shape {m.shape}")
-    return m[:, 0]

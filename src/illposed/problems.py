@@ -50,6 +50,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise PreconditionError(f"delta must be positive, got {self.delta}")
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be non-negative, got {self.seed}")
 
 
 def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestProblem:
@@ -66,8 +68,8 @@ def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestPr
 
 def identity_problem(n: int) -> TestProblem:
     """The trivially well-posed baseline: A = I, y = ones/sqrt(n), f = y."""
-    if n < 1:
-        raise PreconditionError(f"n must be positive, got {n}")
+    if not 1 <= n <= 256:
+        raise PreconditionError(f"n must lie in [1, 256], got {n}")
     y = np.ones(n) / math.sqrt(n)
     A = DenseOperator(np.eye(n))
     return TestProblem(operator=A, f_exact=y.copy(), y_reference=y, label=f"identity(n={n})",
@@ -106,8 +108,8 @@ def rank_deficient_problem(n: int, r: int, seed: int) -> TestProblem:
     The reference solution is drawn inside the span of the leading right
     singular vectors, so it is the minimal-norm solution by construction.
     """
-    if not 1 <= r < n:
-        raise PreconditionError(f"rank r must satisfy 1 <= r < n, got r={r}, n={n}")
+    if not 1 <= r < n <= 256:
+        raise PreconditionError(f"rank r must satisfy 1 <= r < n <= 256, got r={r}, n={n}")
     rng = np.random.default_rng(seed)
     U = _orthonormal(rng.standard_normal((n, n)))
     V = _orthonormal(rng.standard_normal((n, n)))

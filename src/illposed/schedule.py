@@ -41,9 +41,9 @@ class Schedule(abc.ABC):
         """eps(0), evaluated once per instance."""
         return self.eval(0.0)
 
-    def sup_abs_derivative(self, lo: float, hi: float, samples: int = 513) -> float:
-        """sup of |eps'(s)| over [lo, hi], by dense sampling by default."""
-        ts = np.linspace(lo, hi, samples)
+    def sup_abs_derivative(self, lo: float, hi: float) -> float:
+        """sup of |eps'(s)| over [lo, hi], by sampling 513 points unless overridden."""
+        ts = np.linspace(lo, hi, 513)
         return float(np.max(np.abs(self.derivative(ts))))
 
     def admissibility_report(self, t_grid) -> "AdmissibilityReport":
@@ -138,7 +138,7 @@ class PowerLawSchedule(Schedule):
                 f"schedule inverse overflows double precision for value {g}")
         return max(math.exp(log_shifted) - self.c0, 0.0)
 
-    def sup_abs_derivative(self, lo: float, hi: float, samples: int = 513) -> float:
+    def sup_abs_derivative(self, lo: float, hi: float) -> float:
         return abs(self.derivative(lo))
 
 

@@ -372,6 +372,13 @@ class TestConfigParsing:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content", [b'{"seed": \xff}', b'{"seed": ' + b"1" * 5000 + b"}"],
+                             ids=["not_utf8", "integer_over_4300_digits"])
+    def test_unreadable_json(self, tmp_path, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
     def test_unknown_problem(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "radon"}, delta=0.1)
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
@@ -398,6 +405,14 @@ class TestConfigParsing:
         ("absolute_tolerance", True),
         # a path must be a JSON string
         ("output_dir", True),
+        # JSON numbers only: float("1e-2") would read a string, and a string
+        # delta_sequence would iterate its characters
+        ("delta", "1e-2"), ("C", "1.0"), ("relative_tolerance", "1e-8"),
+        ("delta_sequence", "521"), ("delta_sequence", ["1e-1", 1e-2, 1e-3]),
+        # an integer beyond the float range
+        pytest.param("C", 10 ** 400, id="C-int_beyond_float"),
+        # default_rng refuses a negative seed
+        ("seed", -1),
     ])
     def test_rejected_before_any_computation(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path, **{"delta": 0.1, field: value})
@@ -423,9 +438,17 @@ class TestConfigParsing:
                        "delta_sequence": [1e-1, 1e-2]}, "problem.y"),
         ("nonlinear", {"problem": {"name": "cubic", "n": 1, "y": True}, "C": 1.1,
                        "delta_sequence": [1e-1, 1e-2]}, "problem.y"),
+        ("solve", {"problem": {"name": "gaussian_blur", "width": "0.05"}}, "problem.width"),
+        ("solve", {"schedule": {"b": "0.5"}}, "b"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 2, "y": ["1", 0.5]}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "problem.y"),
+        ("solve", {"problem": {"name": "rank_deficient", "seed": -1}}, "problem.seed"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 4}, "C": 1.1, "seed": -5,
+                       "delta_sequence": [1e-1, 1e-2]}, "seed"),
     ], ids=["blur_n", "hilbert_n_bool", "rank", "problem_seed", "cubic_n", "schedule_c0",
             "blur_width_bool", "cubic_coefficients_bool", "cubic_coefficients_list_bool",
-            "cubic_y_list_bool", "cubic_y_bool"])
+            "cubic_y_list_bool", "cubic_y_bool", "blur_width_string", "schedule_b_string",
+            "cubic_y_list_string", "problem_seed_negative", "nonlinear_seed_negative"])
     def test_nested_numbers_rejected_before_any_computation(self, tmp_path, capsys,
                                                            command, overrides, field):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})
@@ -443,8 +466,13 @@ class TestConfigParsing:
         ("nonlinear", {"problem": {"name": "cubic", "n": 4, "coefficients": [1, 2]},
                        "C": 1.1, "delta_sequence": [1e-1, 1e-2]},
          "coefficients must be a scalar or 4 values"),
+        # the size cap refuses before anything is allocated
+        ("solve", {"problem": {"name": "identity", "n": 257}}, "n must lie in [1, 256]"),
+        ("solve", {"problem": {"name": "rank_deficient", "n": 257, "rank": 6}},
+         "1 <= r < n <= 256"),
     ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm",
-            "cubic_n_negative", "cubic_coefficients_length"])
+            "cubic_n_negative", "cubic_coefficients_length", "identity_n_257",
+            "rank_deficient_n_257"])
     def test_no_output_directory_on_config_error(self, tmp_path, capsys, command,
                                                  overrides, message):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from illposed import (MonotoneOperator, NearMinimizer, NoiseSpec,
+from illposed import (NearMinimizer, NoiseSpec,
                       NumericalError, PreconditionError,
                       SeparableMonotoneOperator, add_noise, check_monotonicity,
                       cubic_separable_problem, functional_F, near_minimize,
@@ -102,7 +102,9 @@ class TestNearMinimize:
 
     def test_general_operator_rejected(self):
         # only a separable operator has a certified near-minimizer
-        op = MonotoneOperator(3, lambda u: u + np.tanh(u))
+        def op(u):  # a monotone plain callable, not a SeparableMonotoneOperator
+            return u + np.tanh(u)
+
         f = np.array([0.5, -1.0, 2.0])
         with pytest.raises(PreconditionError, match="SeparableMonotoneOperator"):
             near_minimize(op, f, 1e-3, 1e-6)
@@ -231,5 +233,5 @@ class TestMonotonicity:
         assert check_monotonicity(op, pairs=1000, seed=1) >= -1e-12
 
     def test_fails_on_decreasing_map(self):
-        op = MonotoneOperator(2, lambda u: -u)
+        op = SeparableMonotoneOperator((lambda x: -x, lambda x: -2.0 * x))
         assert check_monotonicity(op, pairs=100, seed=1) < 0

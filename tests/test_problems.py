@@ -189,6 +189,10 @@ class TestNoise:
         with pytest.raises(PreconditionError):
             add_noise(prob.f_exact, dec, NoiseSpec(10.0, 0))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PreconditionError, match="seed must be non-negative"):
+            NoiseSpec(1e-2, -1)
+
     def test_range_projection_needs_a_decomposition(self, hilbert8):
         prob, _ = hilbert8
         with pytest.raises(PreconditionError, match="decomposition is needed"):
