@@ -4,7 +4,7 @@ Provides the matrix-backed operator type and its singular-value
 decomposition cut at the numerical rank, 1e-12 times the largest singular
 value.  Every stage reads that decomposition: regularized normal-equation
 solves, range projections and discrepancy profiles.  A second solve by
-Cholesky factorization, a test oracle, loads scipy.
+Cholesky factorization is a test oracle.
 """
 
 from __future__ import annotations
@@ -154,18 +154,17 @@ def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarr
     """Solve (A^T A + eps I) w = A^T f by a dense Cholesky factorization.
 
     A test oracle that no production path calls, independent of the
-    spectral path.  The two differ by rounding that the condition number
+    spectral path: it factors A^T A + eps I = L L^T, which fails on a
+    matrix that is not positive definite, and solves L y = A^T f, then
+    L^T w = y.  The two paths differ by rounding that the condition number
     of A^T A + eps I, about 1/eps for a normalized A, magnifies: their
     relative gap grows like 1e-16 / eps (2.7e-9 at eps = 1.1e-7, blur n = 256).
     """
-    import scipy.linalg  # here: at module level it doubles the library's import time
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     v = _data_vector(f, A.rows)
-    B = A.entries.T @ A.entries + eps * np.eye(A.cols)
-    rhs = A.entries.T @ v
-    c, low = scipy.linalg.cho_factor(B)
-    return scipy.linalg.cho_solve((c, low), rhs)
+    L = np.linalg.cholesky(A.entries.T @ A.entries + eps * np.eye(A.cols))
+    return np.linalg.solve(L.T, np.linalg.solve(L, A.entries.T @ v))
 
 
 def project_range_closure(dec: SpectralDecomposition, f) -> tuple[np.ndarray, float]:

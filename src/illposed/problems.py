@@ -110,6 +110,8 @@ def rank_deficient_problem(n: int, r: int, seed: int) -> TestProblem:
     """
     if not 1 <= r < n <= 256:
         raise PreconditionError(f"rank r must satisfy 1 <= r < n <= 256, got r={r}, n={n}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     U = _orthonormal(rng.standard_normal((n, n)))
     V = _orthonormal(rng.standard_normal((n, n)))
@@ -137,8 +139,8 @@ def cubic_separable_problem(n: int, coefficients, y) -> tuple[SeparableMonotoneO
     Returns the operator and f = A(y); y is the unique solution of
     A(u) = f, hence minimal-norm.
     """
-    if n < 1:
-        raise PreconditionError(f"n must be positive, got {n}")
+    if not 1 <= n <= 256:
+        raise PreconditionError(f"n must lie in [1, 256], got {n}")
     a = np.asarray(coefficients, dtype=float)
     if a.shape not in ((), (n,)):
         raise PreconditionError(

@@ -462,7 +462,7 @@ class TestConfigParsing:
                        "delta_sequence": [1e-1, 1e-2]}, "coefficients must be positive"),
         ("solve", {"delta": 5.0}, "not below the exact data norm"),
         ("nonlinear", {"problem": {"name": "cubic", "n": -1}, "C": 1.1,
-                       "delta_sequence": [1e-1, 1e-2]}, "n must be positive"),
+                       "delta_sequence": [1e-1, 1e-2]}, "n must lie in [1, 256]"),
         ("nonlinear", {"problem": {"name": "cubic", "n": 4, "coefficients": [1, 2]},
                        "C": 1.1, "delta_sequence": [1e-1, 1e-2]},
          "coefficients must be a scalar or 4 values"),
@@ -470,9 +470,11 @@ class TestConfigParsing:
         ("solve", {"problem": {"name": "identity", "n": 257}}, "n must lie in [1, 256]"),
         ("solve", {"problem": {"name": "rank_deficient", "n": 257, "rank": 6}},
          "1 <= r < n <= 256"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 257}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "n must lie in [1, 256]"),
     ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm",
             "cubic_n_negative", "cubic_coefficients_length", "identity_n_257",
-            "rank_deficient_n_257"])
+            "rank_deficient_n_257", "cubic_n_257"])
     def test_no_output_directory_on_config_error(self, tmp_path, capsys, command,
                                                  overrides, message):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})

@@ -110,6 +110,10 @@ class TestRankDeficient:
         with pytest.raises(PreconditionError):
             rank_deficient_problem(5, 5, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PreconditionError, match="seed must be non-negative"):
+            rank_deficient_problem(12, 6, -1)
+
 
 class TestIdentity:
     def test_unit_data(self):
@@ -148,6 +152,10 @@ class TestCubic:
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(PreconditionError):
             cubic_separable_problem(2, [1.0, 0.0], [1.0, 1.0])
+
+    def test_size_cap(self):
+        with pytest.raises(PreconditionError, match=r"n must lie in \[1, 256\]"):
+            cubic_separable_problem(257, 1.0, np.ones(257))
 
 
 class TestNoise:
