@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsm import DSMConfig, run_dsm
-from .errors import ConfigError, IllposedError, NumericalError, PreconditionError
+from .errors import ConfigError, IllposedError, PreconditionError
 from .nonlinear import nonlinear_discrepancy_result
 from .problems import (NoiseSpec, TestProblem, add_noise, cubic_separable_problem,
                        gaussian_blur_problem, hilbert_problem, identity_problem,
@@ -117,11 +117,8 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(sched_raw, dict):
         raise ConfigError('"schedule" must be an object with fields c0, c1, b')
 
-    schedule = PowerLawSchedule(
-        c0=_number(sched_raw.get("c0", 1.0), "c0"),
-        c1=_number(sched_raw.get("c1", 1.0), "c1"),
-        b=_number(sched_raw.get("b", 0.5), "b"),
-    )
+    schedule = PowerLawSchedule(**{key: _number(sched_raw[key], key)
+                                   for key in ("c0", "c1", "b") if key in sched_raw})
     C = _number(raw.get("C", 1.0), "C")
     delta = None if raw.get("delta") is None else _number(raw["delta"], "delta")
     seq = tuple(_number(d, "delta_sequence") for d in seq)
@@ -229,8 +226,6 @@ def _check_deltas(deltas, f_exact) -> None:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return repr(float(x))
 
 
@@ -475,18 +470,11 @@ def main(argv=None) -> int:
         out_dir = _output_dir(args.output if args.output is not None else cfg.output_dir)
         store = args.store_trajectory or cfg.store_trajectory
         return _COMMANDS[args.command](cfg, out_dir, store, args.quiet)
-    except ConfigError as exc:
-        _emit_error(exc, EXIT_CONFIG)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        _emit_error(exc, EXIT_NUMERICAL)
-        return EXIT_NUMERICAL
-    except PreconditionError as exc:
-        _emit_error(exc, EXIT_PRECONDITION)
-        return EXIT_PRECONDITION
     except IllposedError as exc:
-        _emit_error(exc, EXIT_NUMERICAL)
-        return EXIT_NUMERICAL
+        code = (EXIT_CONFIG if isinstance(exc, ConfigError) else
+                EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_NUMERICAL)
+        _emit_error(exc, code)
+        return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 A schedule couples integration time to regularization strength: it must
 be positive, strictly decreasing, and vanish as t grows, with the decay
 slow enough that sup_{t/2<=s<=t} |eps'(s)| / eps(t)^2 -> 0.  The shipped
-implementation is the power-law family eps(t) = c1 (c0 + t)^(-b).
+implementation is the power-law family eps(t) = c1 (c0 + t)^(-b), which
+also checks these conditions numerically.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from .errors import ConfigError, NumericalError, PreconditionError
 class Schedule(abc.ABC):
     """Positive, strictly decreasing and continuous regularization strength eps(t).
 
+    The evolution and the stopping time read only ``eval`` and ``invert``.
     Continuity is not checked: a jump closer to a report time than the
     integrator's nearest node there (0.0876 past t = 111.7) goes undetected."""
 
     @abc.abstractmethod
     def eval(self, t):
         """eps(t) for t >= 0; accepts scalars or arrays."""
-
-    @abc.abstractmethod
-    def derivative(self, t):
-        """d eps / dt at t >= 0 (negative); accepts scalars or arrays."""
 
     @abc.abstractmethod
     def invert(self, g: float) -> float:
@@ -40,37 +38,6 @@ class Schedule(abc.ABC):
     def eps0(self) -> float:
         """eps(0), evaluated once per instance."""
         return self.eval(0.0)
-
-    def sup_abs_derivative(self, lo: float, hi: float) -> float:
-        """sup of |eps'(s)| over [lo, hi], by sampling 513 points unless overridden."""
-        ts = np.linspace(lo, hi, 513)
-        return float(np.max(np.abs(self.derivative(ts))))
-
-    def admissibility_report(self, t_grid) -> "AdmissibilityReport":
-        """Numeric check of the decay conditions over an ascending grid.
-
-        For each t reports q(t) = sup_{t/2<=s<=t} |eps'(s)| / eps(t)^2 and
-        r(t) = exp(-t) / eps(t); the schedule is flagged admissible when
-        both sequences strictly decrease over the tail (second half) of
-        the grid.
-        """
-        ts = np.asarray(t_grid, dtype=float)
-        if ts.ndim != 1 or ts.size == 0:
-            raise PreconditionError("t_grid must be a nonempty 1-D array")
-        if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
-            raise PreconditionError("t_grid must be positive and strictly ascending")
-        q = np.array([self.sup_abs_derivative(t / 2.0, t) * self.eval(t) ** -2.0
-                      for t in ts])
-        r = np.array([math.exp(-t) / self.eval(t) if t < 745.0 else 0.0
-                      for t in ts])
-        tail = slice(len(ts) // 2, None)
-        q_ok = _decaying(q[tail])
-        r_ok = _decaying(r[tail])
-        return AdmissibilityReport(
-            t_grid=ts, q_values=q, r_values=r,
-            q_tail_decreasing=q_ok, r_tail_decreasing=r_ok,
-            admissible=bool(q_ok and r_ok),
-        )
 
 
 def _decaying(x: np.ndarray) -> bool:
@@ -94,10 +61,11 @@ class AdmissibilityReport:
 
 @dataclass(frozen=True)
 class PowerLawSchedule(Schedule):
-    """eps(t) = c1 (c0 + t)^(-b) with c0, c1 > 0 and 0 < b < 1.
+    """eps(t) = c1 (c0 + t)^(-b) with c0, c1 > 0 and 0 < b < 1; the field
+    defaults are the library's default schedule.
 
-    Closed-form derivative and inverse; |eps'| is decreasing, so the sup
-    over [t/2, t] sits at the left endpoint.
+    Adds to ``Schedule`` the closed-form ``derivative`` and the decay check
+    ``admissibility_report``.
     """
 
     c0: float = 1.0
@@ -138,10 +106,32 @@ class PowerLawSchedule(Schedule):
                 f"schedule inverse overflows double precision for value {g}")
         return max(math.exp(log_shifted) - self.c0, 0.0)
 
-    def sup_abs_derivative(self, lo: float, hi: float) -> float:
-        return abs(self.derivative(lo))
+    def admissibility_report(self, t_grid) -> AdmissibilityReport:
+        """Numeric check of the decay conditions over an ascending grid.
+
+        For each t reports q(t) = sup_{t/2<=s<=t} |eps'(s)| / eps(t)^2 and
+        r(t) = exp(-t) / eps(t); |eps'| decreases, so the sup sits at t/2.
+        The schedule is flagged admissible when both sequences strictly
+        decrease over the tail (second half) of the grid.
+        """
+        ts = np.asarray(t_grid, dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise PreconditionError("t_grid must be a nonempty 1-D array")
+        if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
+            raise PreconditionError("t_grid must be positive and strictly ascending")
+        q = np.array([abs(self.derivative(t / 2.0)) * self.eval(t) ** -2.0 for t in ts])
+        r = np.array([math.exp(-t) / self.eval(t) if t < 745.0 else 0.0
+                      for t in ts])
+        tail = slice(len(ts) // 2, None)
+        q_ok = _decaying(q[tail])
+        r_ok = _decaying(r[tail])
+        return AdmissibilityReport(
+            t_grid=ts, q_values=q, r_values=r,
+            q_tail_decreasing=q_ok, r_tail_decreasing=r_ok,
+            admissible=bool(q_ok and r_ok),
+        )
 
 
 def default_schedule() -> PowerLawSchedule:
     """The library default: c0 = 1, c1 = 1, b = 1/2 (so eps(0) = 1)."""
-    return PowerLawSchedule(1.0, 1.0, 0.5)
+    return PowerLawSchedule()

@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from illposed import (NoiseSpec, Trajectory, add_noise, default_schedule,
                       gaussian_blur_problem, rank_deficient_problem, run_dsm)
-from illposed.cli import (CONVERGENCE_COLUMNS, EXIT_CONFIG, EXIT_OK,
+from illposed.cli import (CONVERGENCE_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                           EXIT_PRECONDITION, NONLINEAR_COLUMNS, _built_problem,
                           _write_trajectory_csv, build_linear_problem, load_config, main)
 
@@ -232,6 +236,17 @@ class TestSolve:
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
+    def test_numerical_failure_exits_4(self, tmp_path, capsys):
+        # no quadrature panel can meet a tolerance of 1e-300
+        path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": 32, "width": 0.05},
+                            delta=1e-2, seed=7, relative_tolerance=1e-300,
+                            absolute_tolerance=1e-300)
+        assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["code"], err["stage"], err["type"]) == (
+            EXIT_NUMERICAL, "integration", "NumericalError")
+        assert not (tmp_path / "out" / "results.json").exists()
+
 
 class TestConvergence:
     def test_hilbert_table(self, tmp_path):
@@ -351,6 +366,18 @@ class TestCheckSchedule:
             "r_values", "schedule", "t_grid",
         ]
 
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        path = write_config(tmp_path)
+        proc = subprocess.run([sys.executable, "-m", "illposed", "check-schedule",
+                               "--config", str(path)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "admissible" in proc.stdout
+        assert json.loads((tmp_path / "out" / "schedule_report.json").read_text())["admissible"]
+
     def test_b_near_one(self, tmp_path):
         path = write_config(tmp_path, schedule={"c0": 1.0, "c1": 1.0, "b": 0.99})
         assert main(["check-schedule", "--config", str(path), "--quiet"]) == EXIT_OK
@@ -378,6 +405,14 @@ class TestConfigParsing:
         path = tmp_path / "broken.json"
         path.write_bytes(content)
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"problem": {"name": "identity"}, "delta": 0.1}]))
+        assert main(["solve", "--config", str(path), "--output", str(tmp_path / "o1"),
+                     "--quiet"]) == EXIT_CONFIG
+        assert "must be a JSON object" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert not (tmp_path / "o1").exists()
 
     def test_unknown_problem(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "radon"}, delta=0.1)
@@ -472,9 +507,12 @@ class TestConfigParsing:
          "1 <= r < n <= 256"),
         ("nonlinear", {"problem": {"name": "cubic", "n": 257}, "C": 1.1,
                        "delta_sequence": [1e-1, 1e-2]}, "n must lie in [1, 256]"),
+        ("solve", {"problem": {}}, 'needs a "problem" object with a "name" field'),
+        ("solve", {"schedule": 1}, '"schedule" must be an object'),
     ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm",
             "cubic_n_negative", "cubic_coefficients_length", "identity_n_257",
-            "rank_deficient_n_257", "cubic_n_257"])
+            "rank_deficient_n_257", "cubic_n_257", "problem_without_name",
+            "schedule_number"])
     def test_no_output_directory_on_config_error(self, tmp_path, capsys, command,
                                                  overrides, message):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})

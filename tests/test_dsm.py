@@ -28,11 +28,6 @@ class ConstantSchedule(Schedule):
         out = np.full(t.shape, self.value)
         return self.value if out.ndim == 0 else out
 
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        return 0.0 if out.ndim == 0 else out
-
     def invert(self, g):
         raise NotImplementedError("constant schedule has no inverse")
 
@@ -744,6 +739,24 @@ class TestRunDSM:
         assert np.array_equal(r1.u_final, r2.u_final)
         assert np.array_equal(r1.w_final, r2.w_final)
         assert r1.residual == r2.residual
+
+    def test_a_schedule_needs_only_eval_and_invert(self, gauss32):
+        class Delegating(Schedule):
+            inner = default_schedule()
+
+            def eval(self, t):
+                return self.inner.eval(t)
+
+            def invert(self, g):
+                return self.inner.invert(g)
+
+        prob, dec = gauss32
+        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
+        ours, shipped = (run_dsm(dec, s, f, 1e-2) for s in (Delegating(), default_schedule()))
+        assert ours.stopping.epsilon_star == shipped.stopping.epsilon_star
+        assert ours.stopping.t_delta == shipped.stopping.t_delta
+        assert ours.u_final.tobytes() == shipped.u_final.tobytes()
+        assert Schedule.__abstractmethods__ == {"eval", "invert"}
 
     def test_boundary_stopping_time_returns_start_state(self):
         # delta = 0.5 on unit data puts the root exactly at eps(0)

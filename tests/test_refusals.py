@@ -1,0 +1,58 @@
+"""Library entry points refuse malformed input with a typed error, before any work."""
+
+import numpy as np
+import pytest
+
+from illposed import (ConfigError, DSMConfig, DenseOperator, DimensionMismatchError,
+                      DiscrepancyProfile, NoiseSpec, PreconditionError, as_vector,
+                      build_profile, cubic_separable_problem, decompose, default_schedule,
+                      evolve, near_minimize)
+
+
+def _dec(n):
+    return decompose(DenseOperator(np.eye(n)))
+
+
+def _profile(**overrides):
+    fields = dict(lambdas=np.ones(2), coefficients=np.ones(2), null_mass=0.0,
+                  data_norm_sq=2.0)
+    return DiscrepancyProfile(**{**fields, **overrides})
+
+
+def _cubic():
+    return cubic_separable_problem(3, 1.0, [1.0, -1.0, 0.5])[0]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_vector(np.ones((2, 2))), DimensionMismatchError, "one-dimensional"),
+    (lambda: as_vector([]), DimensionMismatchError, "nonempty"),
+    (lambda: as_vector([1.0, np.nan]), PreconditionError, "non-finite"),
+    (lambda: build_profile(_dec(3), np.ones(4)), DimensionMismatchError,
+     "data vector has length 4, operator has 3 rows"),
+    (lambda: DenseOperator(np.ones(3)), DimensionMismatchError, "nonempty matrix"),
+    (lambda: DSMConfig(max_steps=0), ConfigError, "max_steps must be positive"),
+    (lambda: DSMConfig(trajectory_points=1), ConfigError, "at least 2"),
+    (lambda: NoiseSpec(0.0, 1), PreconditionError, "delta must be positive"),
+    (lambda: NoiseSpec(float("nan"), 1), PreconditionError, "delta must be positive"),
+    (lambda: _profile(coefficients=np.ones(3)), DimensionMismatchError, "matching 1-D"),
+    (lambda: _profile(lambdas=np.array([1.0, -1.0])), PreconditionError, "nonnegative"),
+    (lambda: _profile(data_norm_sq=0.0), PreconditionError, "data_norm_sq > 0"),
+    (lambda: evolve(_dec(3), default_schedule(), build_profile(_dec(4), np.ones(4)), 1.0),
+     DimensionMismatchError, "profile has 4 coefficients"),
+    (lambda: evolve(_dec(3), default_schedule(), np.ones(3), 1.0,
+                    DSMConfig(initial_state=np.zeros(4))),
+     DimensionMismatchError, "initial state has length 4"),
+    (lambda: near_minimize(_cubic(), np.ones(3), 0.0, 1e-6), PreconditionError,
+     "eps must be positive"),
+    (lambda: near_minimize(_cubic(), np.ones(4), 0.1, 1e-6), DimensionMismatchError,
+     "data vector has length 4, operator expects 3"),
+], ids=["as_vector_2d", "as_vector_empty", "as_vector_nan", "data_length",
+        "dense_operator_1d", "max_steps_0", "trajectory_points_1", "noise_delta_0",
+        "noise_delta_nan", "profile_shapes", "profile_negative_lambda",
+        "profile_zero_data_norm", "evolve_profile_length", "evolve_initial_state_length",
+        "near_minimize_eps_0", "near_minimize_data_length"])
+def test_refused_with_a_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert message in str(info.value)
