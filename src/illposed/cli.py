@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,24 +51,38 @@ CONVERGENCE_COLUMNS = ("delta", "epsilon_star", "t_delta", "residual",
 NONLINEAR_COLUMNS = ("delta", "epsilon_delta", "residual_at_root", "error",
                      "gap_certificate", "failure")
 
-_CUBIC_Y_PATTERN = (1.0, -1.0, 0.5)
+# Each problem kind: its generator's module-level name, looked up at call
+# time, and its fields in argument order as (``_number`` kind, default).  A
+# None default is rank_deficient's config seed or cubic's 1, -1, 0.5 pattern.
+_PROBLEMS = {
+    "identity": ("identity_problem", {"n": (int, 2)}),
+    "hilbert": ("hilbert_problem", {"n": (int, 8)}),
+    "gaussian_blur": ("gaussian_blur_problem", {"n": (int, 64), "width": (float, 0.05)}),
+    "rank_deficient": ("rank_deficient_problem",
+                       {"n": (int, 12), "rank": (int, 6), "seed": (int, None)}),
+    "cubic": ("cubic_separable_problem",
+              {"n": (int, 8), "coefficients": (list, 1.0), "y": (list, None)}),
+}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Validated experiment description, plus the raw dict it came from."""
+    """Validated experiment description, plus the raw dict it came from.  The
+    fields other than ``raw`` are the config's keys, with their defaults."""
 
     problem: dict
-    schedule: PowerLawSchedule
-    C: float
-    delta: float | None
-    delta_sequence: tuple[float, ...]
-    seed: int
-    noise: bool
-    in_range_closure: bool
-    dsm_config: DSMConfig
-    store_trajectory: bool
-    output_dir: str
+    schedule: PowerLawSchedule = field(default_factory=PowerLawSchedule)
+    C: float = 1.0
+    delta: float | None = None
+    delta_sequence: tuple[float, ...] = ()
+    seed: int = 0
+    noise: bool = True
+    in_range_closure: bool = True
+    integrator: str = "exponential_quadrature"
+    relative_tolerance: float | None = None  # None: DSMConfig's default
+    absolute_tolerance: float | None = None
+    store_trajectory: bool = False
+    output_dir: str = "out"
     raw: dict
 
     @property
@@ -76,10 +90,25 @@ class ExperimentConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
+    @functools.cached_property
+    def dsm_config(self) -> DSMConfig:
+        return DSMConfig(**{key: getattr(self, key) for key in ("relative_tolerance",
+                            "absolute_tolerance") if getattr(self, key) is not None})
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "raw")
+_SCHEDULE_KEYS = tuple(f.name for f in fields(PowerLawSchedule))
+
 
 def _number(value, key: str, kind=float):
     """``value`` as ``kind`` if it is a JSON number the cast keeps: no "1e-2",
-    no true as 1, and for an int no 7.9 as 7."""
+    no true as 1, and for an int no 7.9 as 7.  ``tuple`` takes a list of
+    floats, and ``list`` a float or a list of floats."""
+    if kind in (list, tuple) and isinstance(value, list):
+        return kind(_number(v, key) for v in value)
+    if kind is tuple:
+        raise ConfigError(f"{key!r} must be a list of numbers, got {value!r}")
+    kind = float if kind is list else kind
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ConfigError(f"{key!r} must be a number of type {kind.__name__}, got {value!r}")
     try:
@@ -88,104 +117,85 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"{key!r} is too large for a float") from None
 
 
-def _numbers(value, key: str):
-    """``_number`` of a scalar, or of each entry of a list."""
-    return [_number(v, key) for v in value] if isinstance(value, list) else _number(value, key)
+def _refuse_unknown(given: dict, known, where: str) -> None:
+    """Refuse the keys of ``given`` outside ``known``: a misspelt key would
+    otherwise run silently at its default."""
+    unknown = [key for key in given if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"the keys are {', '.join(known)}")
 
 
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # no such file, a directory, no permission
+        raise ConfigError(f"config file cannot be read: {exc}") from None
     except ValueError as exc:  # bad JSON, a non-UTF-8 file, or an integer too long to parse
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _refuse_unknown(raw, _CONFIG_KEYS, "config")
 
-    problem = raw.get("problem")
+    given = dict(raw)
+    problem = given.get("problem")
     if not isinstance(problem, dict) or "name" not in problem:
         raise ConfigError('config needs a "problem" object with a "name" field')
-    for key in ("n", "rank", "seed"):
-        _number(problem.get(key, 0), f"problem.{key}", int)
-    seq = raw.get("delta_sequence", [])
-    if not isinstance(seq, list):
-        raise ConfigError(f"'delta_sequence' must be a list of numbers, got {seq!r}")
+    name = problem["name"]
+    if not isinstance(name, str) or name not in _PROBLEMS:
+        raise ConfigError(f"unknown problem kind {name!r}; the kinds are {', '.join(_PROBLEMS)}")
+    kind_fields = _PROBLEMS[name][1]
+    _refuse_unknown(problem, ("name", *kind_fields), f"problem {name!r}")
+    given["problem"] = {"name": name, **{
+        key: _number(problem[key], f"problem.{key}", kind) if key in problem else default
+        for key, (kind, default) in kind_fields.items()}}
 
-    sched_raw = raw.get("schedule", {})
-    if not isinstance(sched_raw, dict):
-        raise ConfigError('"schedule" must be an object with fields c0, c1, b')
+    schedule = given.get("schedule", {})
+    if not isinstance(schedule, dict):
+        raise ConfigError(f'"schedule" must be an object with fields {", ".join(_SCHEDULE_KEYS)}')
+    _refuse_unknown(schedule, _SCHEDULE_KEYS, "schedule")
+    given["schedule"] = PowerLawSchedule(**{key: _number(v, key) for key, v in schedule.items()})
+    if given.get("delta", 0) is None:
+        del given["delta"]  # null is no delta, as is leaving it out
+    for key, kind in (("C", float), ("delta", float), ("delta_sequence", tuple), ("seed", int),
+                      ("relative_tolerance", float), ("absolute_tolerance", float)):
+        if key in given:
+            given[key] = _number(given[key], key, kind)
+    cfg = ExperimentConfig(raw=raw, **given)
 
-    schedule = PowerLawSchedule(**{key: _number(sched_raw[key], key)
-                                   for key in ("c0", "c1", "b") if key in sched_raw})
-    C = _number(raw.get("C", 1.0), "C")
-    delta = None if raw.get("delta") is None else _number(raw["delta"], "delta")
-    seq = tuple(_number(d, "delta_sequence") for d in seq)
-    seed = _number(raw.get("seed", 0), "seed", int)
-    rel = _number(raw.get("relative_tolerance", 1e-8), "relative_tolerance")
-    abs_ = _number(raw.get("absolute_tolerance", 1e-12), "absolute_tolerance")
-    problem = {**problem, **{key: _numbers(problem[key], f"problem.{key}")
-                             for key in ("width", "coefficients", "y")
-                             if key in problem}}
-
-    for key, value in (("seed", seed), ("problem.seed", problem.get("seed", 0))):
-        if value < 0:
+    for key, value in (("seed", cfg.seed), ("problem.seed", cfg.problem.get("seed"))):
+        if value is not None and value < 0:
             raise ConfigError(f"{key!r} must be a non-negative integer, got {value}")
-
-    if not (C >= 1.0 and math.isfinite(C)):
-        raise ConfigError(f"C must be finite and at least 1, got {C}")
-    if delta is not None and not (delta > 0 and math.isfinite(delta)):
-        raise ConfigError(f"delta must be positive and finite, got {delta}")
+    if not (cfg.C >= 1.0 and math.isfinite(cfg.C)):
+        raise ConfigError(f"C must be finite and at least 1, got {cfg.C}")
+    if cfg.delta is not None and not (cfg.delta > 0 and math.isfinite(cfg.delta)):
+        raise ConfigError(f"delta must be positive and finite, got {cfg.delta}")
+    seq = cfg.delta_sequence
     if seq:
         if not all(d > 0 and math.isfinite(d) for d in seq):
             raise ConfigError("delta_sequence entries must be positive and finite")
         if any(b >= a for a, b in zip(seq[:-1], seq[1:])):
             raise ConfigError("delta_sequence must be strictly decreasing")
-    integrator = raw.get("integrator", "exponential_quadrature")
-    if integrator != "exponential_quadrature":
-        raise ConfigError(f"unknown integrator {integrator!r}: the only one is "
+    if cfg.integrator != "exponential_quadrature":
+        raise ConfigError(f"unknown integrator {cfg.integrator!r}: the only one is "
                           f"\"exponential_quadrature\" (Runge-Kutta is a test oracle only)")
-    flags = {key: raw.get(key, default) for key, default in
-             (("noise", True), ("in_range_closure", True), ("store_trajectory", False))}
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key!r} must be true or false, got {value!r}")
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
-
-    dsm_config = DSMConfig(relative_tolerance=rel, absolute_tolerance=abs_)
-
-    return ExperimentConfig(
-        problem=problem,
-        schedule=schedule,
-        C=C,
-        delta=delta,
-        delta_sequence=seq,
-        seed=seed,
-        noise=flags["noise"],
-        in_range_closure=flags["in_range_closure"],
-        dsm_config=dsm_config,
-        store_trajectory=flags["store_trajectory"],
-        output_dir=output_dir,
-        raw=raw,
-    )
+    for key in ("noise", "in_range_closure", "store_trajectory"):
+        if not isinstance(getattr(cfg, key), bool):
+            raise ConfigError(f"{key!r} must be true or false, got {getattr(cfg, key)!r}")
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError(f"'output_dir' must be a string, got {cfg.output_dir!r}")
+    cfg.dsm_config  # noqa: B018 -- built here, DSMConfig refuses a bad tolerance
+    return cfg
 
 
 def build_linear_problem(cfg: ExperimentConfig) -> TestProblem:
-    p = cfg.problem
-    name = p["name"]
-    if name == "identity":
-        args = (p.get("n", 2),)
-    elif name == "hilbert":
-        args = (p.get("n", 8),)
-    elif name == "gaussian_blur":
-        args = (p.get("n", 64), p.get("width", 0.05))
-    elif name == "rank_deficient":
-        args = (p.get("n", 12), p.get("rank", 6), p.get("seed", cfg.seed))
-    else:
-        raise ConfigError(f"unknown linear problem kind {name!r}")
+    name = cfg.problem["name"]
+    if name == "cubic":
+        raise ConfigError("problem kind 'cubic' is not linear")
+    # a linear kind's one None default, rank_deficient's seed, is the config seed
+    args = [cfg.seed if cfg.problem[key] is None else cfg.problem[key]
+            for key in _PROBLEMS[name][1]]
     try:
         return _built_problem(name, *args)
     except PreconditionError as exc:
@@ -196,22 +206,17 @@ def build_linear_problem(cfg: ExperimentConfig) -> TestProblem:
 def _built_problem(name: str, *args) -> TestProblem:
     """The generator's problem, built once per argument set and shared: it is
     immutable.  Generators are looked up by module-level name at call time."""
-    return {"identity": identity_problem, "hilbert": hilbert_problem,
-            "gaussian_blur": gaussian_blur_problem,
-            "rank_deficient": rank_deficient_problem}[name](*args)
+    return globals()[_PROBLEMS[name][0]](*args)
 
 
 def build_nonlinear_problem(cfg: ExperimentConfig):
-    p = cfg.problem
-    if p["name"] != "cubic":
-        raise ConfigError(f"problem kind {p['name']!r} is not nonlinear; use \"cubic\"")
-    n = p.get("n", 8)
-    coeffs = p.get("coefficients", 1.0)
-    y = p.get("y")
-    if y is None:
-        y = [_CUBIC_Y_PATTERN[i % len(_CUBIC_Y_PATTERN)] for i in range(n)]
+    name = cfg.problem["name"]
+    if name != "cubic":
+        raise ConfigError(f"problem kind {name!r} is not nonlinear; use \"cubic\"")
+    n, coefficients, y = (cfg.problem[key] for key in _PROBLEMS[name][1])
+    y = [(1.0, -1.0, 0.5)[i % 3] for i in range(n)] if y is None else y
     try:
-        op, f_exact = cubic_separable_problem(n, coeffs, y)
+        op, f_exact = globals()[_PROBLEMS[name][0]](n, coefficients, y)
     except PreconditionError as exc:
         raise ConfigError(f"problem parameters invalid: {exc}") from None
     return op, f_exact, np.asarray(y, dtype=float)
@@ -221,8 +226,7 @@ def _check_deltas(deltas, f_exact) -> None:
     fnorm = float(np.linalg.norm(f_exact))
     for d in deltas:
         if d >= fnorm:
-            raise ConfigError(
-                f"delta = {d} is not below the exact data norm {fnorm}")
+            raise ConfigError(f"delta = {d} is not below the exact data norm {fnorm}")
 
 
 def _fmt(x) -> str:
@@ -230,8 +234,7 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
@@ -280,8 +283,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
         raise ConfigError('solve needs a single "delta" field in the config')
     prob = build_linear_problem(cfg)
     _check_deltas([cfg.delta], prob.f_exact)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = _noisy_run(cfg, prob, cfg.delta, cfg.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the run: a failed solve leaves none
 
     _write_json(out_dir / "results.json", {
         "config_hash": cfg.config_hash,
@@ -395,7 +398,7 @@ def cmd_check_schedule(cfg: ExperimentConfig, out_dir: Path, store_trajectory: b
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "schedule_report.json", {
         "config_hash": cfg.config_hash,
-        "schedule": {"c0": cfg.schedule.c0, "c1": cfg.schedule.c1, "b": cfg.schedule.b},
+        "schedule": asdict(cfg.schedule),
         "t_grid": report.t_grid.tolist(),
         "q_values": report.q_values.tolist(),
         "r_values": report.r_values.tolist(),
@@ -425,13 +428,8 @@ _COMMANDS = {
 
 
 def _emit_error(exc: IllposedError, code: int) -> None:
-    payload = {"error": {
-        "code": code,
-        "type": type(exc).__name__,
-        "stage": exc.stage,
-        "message": str(exc),
-    }}
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps({"error": {"code": code, "type": type(exc).__name__, "stage": exc.stage,
+                                "message": str(exc)}}, sort_keys=True))
 
 
 @functools.cache

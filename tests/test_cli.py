@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from illposed import (NoiseSpec, Trajectory, add_noise, default_schedule,
-                      gaussian_blur_problem, rank_deficient_problem, run_dsm)
+from illposed import (NoiseSpec, Trajectory, add_noise, cubic_separable_problem,
+                      default_schedule, gaussian_blur_problem, hilbert_problem,
+                      identity_problem, rank_deficient_problem, run_dsm)
 from illposed.cli import (CONVERGENCE_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                          EXIT_PRECONDITION, NONLINEAR_COLUMNS, _built_problem,
-                          _write_trajectory_csv, build_linear_problem, load_config, main)
+                          EXIT_PRECONDITION, NONLINEAR_COLUMNS, ExperimentConfig,
+                          _built_problem, _write_trajectory_csv, build_linear_problem,
+                          build_nonlinear_problem, load_config, main)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -145,6 +148,44 @@ def test_rank_deficient_problem_seed_defaults_to_the_config_seed(tmp_path):
         assert prob.label == fresh.label
 
 
+@pytest.mark.parametrize("name, defaults", [
+    ("identity", lambda seed: identity_problem(2)),
+    ("hilbert", lambda seed: hilbert_problem(8)),
+    ("gaussian_blur", lambda seed: gaussian_blur_problem(64, 0.05)),
+    ("rank_deficient", lambda seed: rank_deficient_problem(12, 6, seed)),
+    ("cubic", lambda seed: cubic_separable_problem(8, 1.0, [1.0, -1.0, 0.5] * 2 + [1.0, -1.0])),
+])
+def test_a_problem_giving_only_its_name_takes_the_defaults(tmp_path, name, defaults):
+    cfg = load_config(write_config(tmp_path, problem={"name": name}, seed=5))
+    if name == "cubic":
+        op, f_exact, y = build_nonlinear_problem(cfg)
+        expected_op, expected_f = defaults(cfg.seed)
+        probe = np.linspace(-2.0, 2.0, 8)
+        assert op(probe).tobytes() == expected_op(probe).tobytes()
+        assert f_exact.tobytes() == expected_f.tobytes()
+        assert y.tolist() == [1.0, -1.0, 0.5] * 2 + [1.0, -1.0]
+        return
+    prob, expected = build_linear_problem(cfg), defaults(cfg.seed)
+    assert prob.operator.entries.tobytes() == expected.operator.entries.tobytes()
+    assert prob.f_exact.tobytes() == expected.f_exact.tobytes()
+    assert prob.label == expected.label
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = json.loads(readme.split("JSON object:\n\n```json\n", 1)[1].split("```", 1)[0])
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "raw"]
+    assert sorted(example) == sorted(keys) and len(keys) == 13
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(example))
+    cfg = load_config(path)
+    assert {key: getattr(cfg, key) for key in ("C", "delta", "seed", "relative_tolerance",
+                                               "absolute_tolerance", "output_dir")} == {
+        key: example[key] for key in ("C", "delta", "seed", "relative_tolerance",
+                                      "absolute_tolerance", "output_dir")}
+    assert cfg.problem == example["problem"]
+
+
 def test_failed_build_is_not_cached(tmp_path, capsys):
     path = write_config(tmp_path, problem={"name": "gaussian_blur", "n": 4}, delta=0.01)
     misses = _built_problem.cache_info().misses
@@ -245,7 +286,7 @@ class TestSolve:
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["code"], err["stage"], err["type"]) == (
             EXIT_NUMERICAL, "integration", "NumericalError")
-        assert not (tmp_path / "out" / "results.json").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestConvergence:
@@ -390,9 +431,10 @@ class TestCheckSchedule:
 
 
 class TestConfigParsing:
-    def test_missing_file(self, tmp_path):
-        assert main(["solve", "--config", str(tmp_path / "nope.json"),
-                     "--quiet"]) == EXIT_CONFIG
+    @pytest.mark.parametrize("name", ["nope.json", "."], ids=["missing", "directory"])
+    def test_missing_file(self, tmp_path, capsys, name):
+        assert main(["solve", "--config", str(tmp_path / name), "--quiet"]) == EXIT_CONFIG
+        assert "cannot be read" in json.loads(capsys.readouterr().out)["error"]["message"]
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -480,10 +522,13 @@ class TestConfigParsing:
         ("solve", {"problem": {"name": "rank_deficient", "seed": -1}}, "problem.seed"),
         ("nonlinear", {"problem": {"name": "cubic", "n": 4}, "C": 1.1, "seed": -5,
                        "delta_sequence": [1e-1, 1e-2]}, "seed"),
+        # a width is one number, not a list like cubic's coefficients
+        ("solve", {"problem": {"name": "gaussian_blur", "width": [0.05]}}, "problem.width"),
     ], ids=["blur_n", "hilbert_n_bool", "rank", "problem_seed", "cubic_n", "schedule_c0",
             "blur_width_bool", "cubic_coefficients_bool", "cubic_coefficients_list_bool",
             "cubic_y_list_bool", "cubic_y_bool", "blur_width_string", "schedule_b_string",
-            "cubic_y_list_string", "problem_seed_negative", "nonlinear_seed_negative"])
+            "cubic_y_list_string", "problem_seed_negative", "nonlinear_seed_negative",
+            "blur_width_list"])
     def test_nested_numbers_rejected_before_any_computation(self, tmp_path, capsys,
                                                            command, overrides, field):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})
@@ -509,10 +554,21 @@ class TestConfigParsing:
                        "delta_sequence": [1e-1, 1e-2]}, "n must lie in [1, 256]"),
         ("solve", {"problem": {}}, 'needs a "problem" object with a "name" field'),
         ("solve", {"schedule": 1}, '"schedule" must be an object'),
+        # a key the config does not declare is refused, not run at a default
+        ("solve", {"relative_tolerence": 1e-3}, "'relative_tolerence'"),
+        ("solve", {"schedule": {"B": 0.99}}, "'B'"),
+        ("solve", {"problem": {"name": "gaussian_blur", "n": 16, "widht": 0.1}}, "'widht'"),
+        ("solve", {"problem": {"name": "hilbert", "n": 8, "rank": 3}}, "'rank'"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 4, "width": 0.1}, "C": 1.1,
+                       "delta_sequence": [1e-1, 1e-2]}, "'width'"),
+        ("check-schedule", {"problem": {"name": "identity", "n": 2}, "schedule": {"B": 0.99},
+                            "relative_tolerence": 1e-3}, "'relative_tolerence'"),
     ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm",
             "cubic_n_negative", "cubic_coefficients_length", "identity_n_257",
             "rank_deficient_n_257", "cubic_n_257", "problem_without_name",
-            "schedule_number"])
+            "schedule_number", "unknown_key", "unknown_schedule_key",
+            "unknown_blur_key", "unknown_hilbert_key", "unknown_cubic_key",
+            "unknown_keys_check_schedule"])
     def test_no_output_directory_on_config_error(self, tmp_path, capsys, command,
                                                  overrides, message):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})
