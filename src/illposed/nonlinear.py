@@ -3,7 +3,9 @@
 For a monotone operator A the regularized functional
 F(u) = ||A(u) - f_delta||^2 + eps ||u||^2 is near-minimized to within a
 certified gap, and the regularization strength is chosen as the smallest
-eps at which the near-minimizer's residual equals C * delta (C > 1).
+eps at which the near-minimizer's residual equals C * delta (C > 1); where
+the residual jumps across that target between two adjacent near-minimizers,
+a certified point on the segment between them meets it.
 
 The one operator type is ``SeparableMonotoneOperator``, coordinatewise
 strictly increasing scalar maps: golden-section search gives each
@@ -14,7 +16,7 @@ Any other operator is refused with PreconditionError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +28,8 @@ _SCALAR_MAX_ITER = 600
 _SCAN_EPS_MIN = 1e-14
 _SCAN_EPS_MAX = 1e12
 _SCAN_RATIO = 2.0
+# theta = k / 2^j stays a distinct float in [0, 1] for j <= 53
+_THETA_HALVINGS = 53
 
 
 class SeparableMonotoneOperator:
@@ -65,12 +69,14 @@ def _require_separable(op) -> None:
 @dataclass(frozen=True, eq=False)
 class NearMinimizer:
     """A point whose functional value provably sits within
-    ``gap_certificate`` of the infimum at the given eps."""
+    ``gap_certificate`` of the infimum at the given eps; ``residual`` is
+    ||A(u) - f_delta||, from the same operator application as ``F_value``."""
 
     u: np.ndarray
     F_value: float
     gap_certificate: float
     epsilon: float
+    residual: float
 
     def __post_init__(self):
         object.__setattr__(self, "u", _frozen(self.u))
@@ -80,10 +86,16 @@ def functional_F(op: SeparableMonotoneOperator, f_delta, eps: float, u) -> float
     """||A(u) - f_delta||^2 + eps ||u||^2."""
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    f = as_vector(f_delta, "data vector")
-    v = as_vector(u, "argument")
-    r = op(v) - f
-    return float(r @ r + eps * (v @ v))
+    return _near_minimizer(op, as_vector(f_delta, "data vector"), eps,
+                           as_vector(u, "argument"), 0.0).F_value
+
+
+def _near_minimizer(op, f: np.ndarray, eps: float, u: np.ndarray,
+                    gap_certificate: float) -> NearMinimizer:
+    r = op(u) - f
+    return NearMinimizer(u=u, F_value=float(r @ r + eps * (u @ u)),
+                         gap_certificate=gap_certificate, epsilon=eps,
+                         residual=float(np.linalg.norm(r)))
 
 
 def _search_radius(f_norm_plus_a0: float, eps: float) -> float:
@@ -172,15 +184,16 @@ def near_minimize(op: SeparableMonotoneOperator, f_delta, eps: float,
         if cert > per_coord:
             raise NumericalError(
                 f"near-minimization budget unreachable at coordinate {i}",
-                best=NearMinimizer(u=u, F_value=functional_F(op, f, eps, u),
-                                   gap_certificate=total_cert, epsilon=eps))
-    return NearMinimizer(u=u, F_value=functional_F(op, f, eps, u),
-                         gap_certificate=total_cert, epsilon=eps)
+                best=_near_minimizer(op, f, eps, u, total_cert))
+    return _near_minimizer(op, f, eps, u, total_cert)
 
 
 @dataclass(frozen=True, eq=False)
 class NonlinearStopping:
-    """Root of the nonlinear discrepancy equation with its near-minimizer."""
+    """Root of the nonlinear discrepancy equation with its near-minimizer.
+
+    ``theta`` is None unless the run was continued across its final
+    bracket, and then u_delta = (1 - theta) u_lo + theta u_hi."""
 
     epsilon_delta: float
     u_delta: np.ndarray
@@ -188,6 +201,7 @@ class NonlinearStopping:
     gap_certificate: float
     F_value: float
     trace: tuple
+    theta: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "u_delta", _frozen(self.u_delta))
@@ -197,14 +211,21 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
                                  C: float = 1.1) -> NonlinearStopping:
     """Locate the smallest eps with ||A(u_{delta,eps}) - f_delta|| = C * delta.
 
-    An ascending geometric scan (ratio 2 from 1e-14) finds the first
-    bracket where the residual crosses the target; bisection on log(eps)
-    refines it to 1e-10 relative width.  Each eps's near-minimizer and
-    residual are computed once and cached, and the cache's insertion order
-    is the trace.  The bracket's upper end is returned so the residual sits
-    at or marginally above the target; a bracket that collapses more than
-    1e-9 ||f_delta|| off target raises NumericalError.  The operator must
-    be separable (see :func:`near_minimize`).
+    An ascending geometric scan (ratio 2 from 1e-14) stops at the first eps
+    whose residual reaches the target; if that is the first eps, or none
+    does up to 1e12, it raises NumericalError.  Bisection on log(eps) then
+    halves the bracket until its width is at most 1e-10 of its upper end.
+    Each eps's near-minimizer is computed once and cached, and the cache's
+    insertion order is the trace.  The bracket's upper end is returned so
+    the residual sits at or marginally above the target.
+
+    Where the residual jumps across the target inside the final bracket,
+    so that the upper end's residual is more than 1e-9 ||f_delta|| off, the
+    run is continued along the segment between the bracket's two cached
+    near-minimizers (see :func:`_continue_across`) and ``theta`` records
+    the point's position on it; NumericalError naming the bracket is
+    raised only if that point's residual or certificate misses its bound.
+    The operator must be separable (see :func:`near_minimize`).
     """
     _require_separable(op)
     if not C > 1.0:
@@ -222,58 +243,69 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
             f"||A(0) - f_delta|| = {residual_zero} must exceed C*delta = {target}")
 
     budget = (C * C - 1.0) * delta * delta
-    cache: dict[float, tuple[NearMinimizer, float]] = {}
+    cache: dict[float, NearMinimizer] = {}
 
-    def h(eps: float) -> float:
+    def at(eps: float) -> NearMinimizer:
         if eps not in cache:
-            nm = near_minimize(op, f, eps, budget)
-            cache[eps] = nm, float(np.linalg.norm(op(nm.u) - f))
-        return cache[eps][1]
+            cache[eps] = near_minimize(op, f, eps, budget)
+        return cache[eps]
 
     def trace() -> tuple:
-        return tuple((eps, residual, nm.F_value, nm.gap_certificate)
-                     for eps, (nm, residual) in cache.items())
+        return tuple((eps, nm.residual, nm.F_value, nm.gap_certificate)
+                     for eps, nm in cache.items())
 
-    lo = None
-    eps = _SCAN_EPS_MIN
-    prev = None
-    while eps <= _SCAN_EPS_MAX:
-        value = h(eps)
-        if prev is not None and prev[1] <= target <= value:
-            lo, hi = prev[0], eps
-            break
-        prev = (eps, value)
-        eps *= _SCAN_RATIO
-    else:
+    lo, hi = None, _SCAN_EPS_MIN
+    while hi <= _SCAN_EPS_MAX and at(hi).residual < target:
+        lo, hi = hi, hi * _SCAN_RATIO
+    if lo is None or hi > _SCAN_EPS_MAX:
         raise NumericalError(
             "discrepancy equation has no root in scan range", trace=trace())
 
-    resid_tol = 1e-9 * float(np.linalg.norm(f))
-    for _ in range(250):
-        width_ok = hi - lo <= 1e-10 * hi
-        resid_ok = abs(h(hi) - target) <= resid_tol
-        if width_ok and resid_ok:
-            break
+    while hi - lo > 1e-10 * hi:
         mid = math.sqrt(lo * hi)
-        if mid <= lo or mid >= hi:
-            break
-        if h(mid) < target:
+        if at(mid).residual < target:
             lo = mid
         else:
             hi = mid
 
-    nm, residual = cache[hi]
-    if abs(residual - target) > resid_tol:
-        raise NumericalError(
-            f"bisection bracket collapsed at eps = {hi:.6e} with the residual "
-            f"{abs(residual - target):.3e} off C*delta", trace=trace(), best=nm)
-    return NonlinearStopping(epsilon_delta=hi, u_delta=nm.u, residual=residual,
+    nm, theta = cache[hi], None
+    tolerance = 1e-9 * float(np.linalg.norm(f))
+    if abs(nm.residual - target) > tolerance:
+        nm, theta = _continue_across(op, f, cache[lo], nm, target, tolerance)
+        if abs(nm.residual - target) > tolerance or nm.gap_certificate > budget:
+            raise NumericalError(
+                f"continuation across the bracket [{lo:.12e}, {hi:.12e}] ends "
+                f"{abs(nm.residual - target):.3e} off C*delta with the certificate "
+                f"{nm.gap_certificate:.3e} against the budget {budget:.3e}",
+                trace=trace(), best=nm)
+    return NonlinearStopping(epsilon_delta=hi, u_delta=nm.u, residual=nm.residual,
                              gap_certificate=nm.gap_certificate, F_value=nm.F_value,
-                             trace=trace())
+                             trace=trace(), theta=theta)
 
 
-def check_monotonicity(op: SeparableMonotoneOperator, pairs: int = 1000, seed: int = 0,
-                       scale: float = 1.0) -> float:
+def _continue_across(op, f: np.ndarray, below: NearMinimizer, above: NearMinimizer,
+                     target: float, tolerance: float) -> tuple[NearMinimizer, float]:
+    """Bisect theta in [0, 1] on the residual of (1 - theta) u_lo + theta u_hi,
+    which runs continuously from below the target to above it, and certify
+    the point at eps_hi.  The infimum of F grows with eps, so both cached
+    near-minimizers give a lower bound on the infimum at eps_hi."""
+    eps = above.epsilon
+    floor = max(above.F_value - above.gap_certificate, below.F_value - below.gap_certificate)
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(_THETA_HALVINGS):
+        theta = 0.5 * (t_lo + t_hi)
+        nm = _near_minimizer(op, f, eps, (1.0 - theta) * below.u + theta * above.u, 0.0)
+        if abs(nm.residual - target) <= tolerance:
+            break
+        if nm.residual < target:
+            t_lo = theta
+        else:
+            t_hi = theta
+    return replace(nm, gap_certificate=max(nm.F_value - floor, 0.0)), theta
+
+
+def check_monotonicity(op: SeparableMonotoneOperator, pairs: int = 1000,
+                       seed: int = 0) -> float:
     """Smallest inner product (A(u)-A(v), u-v) over seeded random pairs.
 
     Monotone operators keep this nonnegative up to rounding; callers
@@ -282,8 +314,8 @@ def check_monotonicity(op: SeparableMonotoneOperator, pairs: int = 1000, seed: i
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(pairs):
-        u = scale * rng.standard_normal(op.dimension)
-        v = scale * rng.standard_normal(op.dimension)
+        u = rng.standard_normal(op.dimension)
+        v = rng.standard_normal(op.dimension)
         ip = float((op(u) - op(v)) @ (u - v))
         worst = min(worst, ip)
     return worst

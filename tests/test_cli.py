@@ -240,20 +240,22 @@ class TestSolve:
     def test_byte_identical_reruns(self, tmp_path):
         solve = write_config(tmp_path, "solve.json", problem={"name": "hilbert", "n": 6},
                              delta=0.01, seed=5)
-        # the 1e-4 row is a collapsed-bracket failure, so failure rows are pinned too
+        # at 4.9 the noisy data's norm falls below C*delta, so that row is a
+        # failure and failure rows are pinned too; the 1e-4 row is continued
+        # across its bisection bracket
         nonlinear = write_config(tmp_path, "nonlinear.json", problem={"name": "cubic", "n": 8},
-                                 C=1.1, seed=6, delta_sequence=[1e-1, 1e-2, 1e-3, 1e-4])
+                                 C=1.1, seed=7, delta_sequence=[4.9, 1e-2, 1e-4])
         for command, path, artifacts in [
                 ("solve", solve, ("results.json", "trajectory.csv")),
                 ("nonlinear", nonlinear,
-                 ("nonlinear.csv", "scan_trace_0.csv", "scan_trace_1.csv", "scan_trace_2.csv"))]:
+                 ("nonlinear.csv", "scan_trace_1.csv", "scan_trace_2.csv"))]:
             argv = [command, "--config", str(path), "--quiet", "--store-trajectory"]
             assert main(argv) == EXIT_OK
             first = [(tmp_path / "out" / name).read_bytes() for name in artifacts]
             assert main(argv) == EXIT_OK
             assert [(tmp_path / "out" / name).read_bytes() for name in artifacts] == first
-        assert b"bracket collapsed" in (tmp_path / "out" / "nonlinear.csv").read_bytes()
-        assert not (tmp_path / "out" / "scan_trace_3.csv").exists()
+        assert b"must exceed C*delta" in (tmp_path / "out" / "nonlinear.csv").read_bytes()
+        assert not (tmp_path / "out" / "scan_trace_0.csv").exists()
 
     def test_null_space_rejection(self, tmp_path, capsys):
         path = write_config(

@@ -1,8 +1,10 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
+import illposed.nonlinear
 from illposed import (NearMinimizer, NoiseSpec,
                       NumericalError, PreconditionError,
                       SeparableMonotoneOperator, add_noise, check_monotonicity,
@@ -41,6 +43,73 @@ def cubic_op(n, a=1.0):
     y = np.array([(1.0, -1.0, 0.5)[i % 3] for i in range(n)])
     op, f = cubic_separable_problem(n, a, y)
     return op, f, y
+
+
+SWEEP_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+def sweep_data(f_exact, seed, delta):
+    """The noisy data of one sweep run: noise seed ``seed + k`` for the
+    k-th delta of SWEEP_DELTAS, as ``illposed nonlinear`` draws it."""
+    k = SWEEP_DELTAS.index(delta)
+    return add_noise(f_exact, None, NoiseSpec(delta, seed + k, in_range_closure=False))
+
+
+def reference_discrepancy(op, f, delta, C):
+    """Reference scan and bisection with the residual stop test.
+
+    The scan stops where the previous residual is at most C*delta and the
+    current one at least; the bisection stops once the bracket is within
+    1e-10 relative width and the residual within 1e-9 ||f|| of C*delta,
+    after 250 steps, or when the midpoint collapses onto an end.  Each
+    residual is formed from the near-minimizer's point, which the library's
+    ``near_minimize`` gives (a test may patch it).  Returns
+    (eps, near-minimizer, residual, trace) or raises NumericalError
+    off target.
+    """
+    target = C * delta
+    budget = (C * C - 1.0) * delta * delta
+    cache = {}
+
+    def h(eps):
+        if eps not in cache:
+            nm = illposed.nonlinear.near_minimize(op, f, eps, budget)
+            cache[eps] = nm, float(np.linalg.norm(op(nm.u) - f))
+        return cache[eps][1]
+
+    eps, prev = 1e-14, None
+    while eps <= 1e12:
+        value = h(eps)
+        if prev is not None and prev[1] <= target <= value:
+            lo, hi = prev[0], eps
+            break
+        prev = (eps, value)
+        eps *= 2.0
+    else:
+        raise NumericalError("no root in scan range")
+    tol = 1e-9 * float(np.linalg.norm(f))
+    for _ in range(250):
+        if hi - lo <= 1e-10 * hi and abs(h(hi) - target) <= tol:
+            break
+        mid = math.sqrt(lo * hi)
+        if mid <= lo or mid >= hi:
+            break
+        if h(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    nm, residual = cache[hi]
+    if abs(residual - target) > tol:
+        raise NumericalError("bracket collapsed off target")
+    trace = tuple((e, r, m.F_value, m.gap_certificate) for e, (m, r) in cache.items())
+    return hi, nm, residual, trace
+
+
+# The runs of seeds 1-40 (cubic n = 8, SWEEP_DELTAS, C 1.1 and 1.5) whose
+# bisection bracket ends more than 1e-9 ||f_delta|| off C*delta, so that the
+# reference raises
+CONTINUED_RUNS = [(1.1, seed, 1e-4) for seed in (6, 18, 29, 33)] + [
+    (1.5, seed, 1e-2) for seed in (6, 14, 21, 31)]
 
 
 class TestFunctional:
@@ -214,17 +283,94 @@ class TestDiscrepancy:
         epses = [t[0] for t in res.trace]
         assert epses[0] == pytest.approx(1e-14)
 
-    def test_collapsed_bracket_off_target_raises(self):
-        # this draw collapses the bisection bracket with the residual 5.8e-8
-        # off C*delta, above the loop's own 1e-9 ||f_delta|| stopping test
+    def test_off_target_bracket_is_continued(self):
+        # this draw ends the bisection with the bracket's upper residual 5.8e-8
+        # off C*delta; the continuation between the bracket's two cached
+        # near-minimizers lands on C*delta with a certificate in budget
         op, f_exact, _ = cubic_op(8)
         f = add_noise(f_exact, None, NoiseSpec(1e-4, 1269187315, in_range_closure=False))
-        with pytest.raises(NumericalError, match="bracket collapsed") as info:
-            nonlinear_discrepancy_result(op, f, 1e-4, 1.1)
-        trace = info.value.trace
-        assert trace
-        assert abs(trace[-1][1] - 1.1 * 1e-4) > 1e-9 * np.linalg.norm(f)
-        assert isinstance(info.value.best, NearMinimizer)
+        res = nonlinear_discrepancy_result(op, f, 1e-4, 1.1)
+        tol = 1e-9 * np.linalg.norm(f)
+        upper = dict((eps, h) for eps, h, _, _ in res.trace)[res.epsilon_delta]
+        assert upper - 1.1e-4 > tol
+        assert 0.0 < res.theta < 1.0
+        assert abs(res.residual - 1.1e-4) <= tol
+        assert res.gap_certificate <= (1.1 ** 2 - 1.0) * 1e-8
+        assert res.F_value == functional_F(op, f, res.epsilon_delta, res.u_delta)
+
+    def test_matches_the_reference_loop_wherever_it_succeeds(self, monkeypatch):
+        # both loops read one shared near-minimizer per (data, eps), so the
+        # comparison costs one run; a run's residuals, trace and point must
+        # be bit-identical to the reference's
+        op, f_exact, _ = cubic_op(8)
+        memo = {}
+        real = near_minimize
+
+        def shared(op, f, eps, budget):
+            key = (f.tobytes(), eps, budget)
+            if key not in memo:
+                memo[key] = real(op, f, eps, budget)
+            return memo[key]
+
+        monkeypatch.setattr(illposed.nonlinear, "near_minimize", shared)
+        for C in (1.1, 1.5):
+            for seed in (1, 2):
+                for delta in SWEEP_DELTAS:
+                    f = sweep_data(f_exact, seed, delta)
+                    eps, nm, residual, trace = reference_discrepancy(op, f, delta, C)
+                    res = nonlinear_discrepancy_result(op, f, delta, C)
+                    assert res.theta is None
+                    assert res.epsilon_delta == eps
+                    assert res.u_delta.tobytes() == nm.u.tobytes()
+                    assert (res.residual, res.gap_certificate, res.F_value) == (
+                        residual, nm.gap_certificate, nm.F_value)
+                    assert res.trace == trace
+
+    @pytest.mark.parametrize("C,seed,delta", CONTINUED_RUNS)
+    def test_continued_runs_meet_criterion_9(self, C, seed, delta):
+        op, f_exact, _ = cubic_op(8)
+        f = sweep_data(f_exact, seed, delta)
+        res = nonlinear_discrepancy_result(op, f, delta, C)
+        assert res.theta is not None
+        assert abs(res.residual - C * delta) <= 1e-9 * np.linalg.norm(f)
+        assert res.gap_certificate <= (C * C - 1.0) * delta * delta
+        # the root is the bracket's upper end, and the certificate is taken
+        # against the larger of the bracket ends' lower bounds on inf F
+        lo = max(t for t in res.trace if t[1] < C * delta)
+        hi = next(t for t in res.trace if t[0] == res.epsilon_delta)
+        assert res.gap_certificate == res.F_value - max(hi[2] - hi[3], lo[2] - lo[3])
+
+    def test_uncertifiable_continuation_raises(self, monkeypatch):
+        # faked near-minimizers that jump across C*delta at eps = 1e-3 and
+        # whose certificates are their whole value (the bound inf F >= 0):
+        # the continued point lands on C*delta but its certificate
+        # F_hi(u) = 0.0233 exceeds the budget 0.0125, so the run raises
+        # naming the bracket
+        op = SeparableMonotoneOperator((lambda x: x,))
+
+        def fake(op, f, eps, budget):
+            u = np.array([0.9 if eps < 1e-3 else 0.5])
+            F = functional_F(op, f, eps, u)
+            return NearMinimizer(u=u, F_value=F, gap_certificate=F, epsilon=eps,
+                                 residual=float(np.linalg.norm(u - f)))
+
+        monkeypatch.setattr(illposed.nonlinear, "near_minimize", fake)
+        with pytest.raises(NumericalError,
+                           match=r"continuation across the bracket \[9\.99") as info:
+            nonlinear_discrepancy_result(op, np.array([1.0]), 0.1, 1.5)
+        best = info.value.best
+        assert isinstance(best, NearMinimizer)
+        assert abs(best.residual - 0.15) <= 1e-9
+        assert best.gap_certificate > 0.0125
+        assert info.value.trace
+
+    def test_overshoot_at_the_smallest_eps_raises_at_once(self):
+        # tanh cannot reach f = 2, so every residual is at least 1 > C*delta:
+        # the scan stops at its first point
+        op = SeparableMonotoneOperator((np.tanh,))
+        with pytest.raises(NumericalError, match="no root in scan range") as info:
+            nonlinear_discrepancy_result(op, np.array([2.0]), 1e-2, 1.1)
+        assert [t[0] for t in info.value.trace] == [1e-14]
 
 
 class TestMonotonicity:
