@@ -250,21 +250,24 @@ def _write_trajectory_csv(path: Path, config_hash: str, trajectory, y_reference,
     """The trajectory as CSV: t, residual_norm, error_vs_reference, then the
     state when ``include_state``.  Byte for byte what ``_write_csv`` would
     write: every cell is a float at full round-trip precision, so none needs
-    quoting, and a line is the floats' reprs joined by commas."""
+    quoting, and a line is the floats' reprs joined by commas.  Almost all
+    of the time is those reprs; the rest is one ``join`` per row."""
     header = ["t", "residual_norm", "error_vs_reference"]
     if include_state:
         header.extend(f"state_{i}" for i in range(trajectory.states.shape[1]))
+    # each row's sqrt(d.dot(d)), the same bits as np.linalg.norm(state - y)
+    d = trajectory.states - y_reference
+    errors = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).ravel().tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         end = writer.dialect.lineterminator
-        for t, res, state in zip(trajectory.times.tolist(),
-                                 trajectory.residual_norms.tolist(), trajectory.states):
-            row = [t, res, float(np.linalg.norm(state - y_reference))]
-            if include_state:  # a row at a time: the whole matrix as floats is MBs
-                row.extend(state.tolist())
-            fh.write(repr(row)[1:-1].replace(", ", ",") + end)
+        times, residuals = trajectory.times.tolist(), trajectory.residual_norms.tolist()
+        for t, res, err, state in zip(times, residuals, errors, trajectory.states):
+            # a row at a time: the whole matrix as floats or text is MBs
+            cells = (t, res, err, *state.tolist()) if include_state else (t, res, err)
+            fh.write(",".join(map(repr, cells)) + end)
 
 
 def _noisy_run(cfg: ExperimentConfig, prob: TestProblem, delta: float, seed: int):

@@ -70,7 +70,13 @@ _NULL_DUST_REL = 1e-14
 
 @dataclass(frozen=True)
 class DSMConfig:
-    """Tolerances, start state, step budget and report points of ``evolve``."""
+    """Tolerances, start state, step budget and report points of ``evolve``.
+
+    The report times, and so the rows of the CLI's ``trajectory.csv``, are
+    0 and then ``trajectory_points - 1`` geometric points from 1 to
+    ``t_end``.  When ``t_end <= 2`` or ``trajectory_points < 4`` they are
+    ``min(trajectory_points, 65)`` evenly spaced points from 0 to ``t_end``.
+    """
 
     relative_tolerance: float = 1e-8
     absolute_tolerance: float = 1e-12
@@ -214,11 +220,13 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
     report-time order, a block's rows (one per time) before its groups.
     """
     a, b = times[:-1], times[1:]
+    widths = (b - a).tolist()
     round0 = 3 * _top_panels(np.minimum(b - a, _WINDOW))
     block = max(1, 2 * _ROUND_PANELS * _GL_NODES.size // _LG_NODES.size)
     ruled = np.zeros(b.size, dtype=bool)
     # the gaps before ``ready`` are early, or late with their rows evaluated
     ready = int(np.searchsorted(b, _LATE_TIME, side="right"))
+    diverged = math.inf  # the block's first non-finite ruled row, if any
     budget = cfg.max_steps
     z = zs[0]
     start = 0
@@ -230,6 +238,8 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
             values, ruled[start:ready] = _laguerre_integrals(schedule, sg, lam, b[start:ready], cfg)
             # the block's ruled z, from gap ``top`` on; its rows go into zs
             late, top = values.T + np.exp(-b[start:ready])[:, None] * zs[0], start
+            bad = np.flatnonzero(ruled[start:ready] & ~np.isfinite(late).all(axis=1))
+            diverged = start + int(bad[0]) if bad.size else math.inf
             budget -= ready - start
         cost = np.cumsum(np.where(ruled[start:ready], 0, round0[start:ready]))
         stop = start + max(1, int(np.searchsorted(cost, 2 * _ROUND_PANELS, side="right")))
@@ -237,12 +247,15 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
         integrals, panels, failure = _gap_integrals(
             schedule, sg, lam, a[gaps], b[gaps], cfg, budget)
         budget -= int(panels.sum())
+        end = min(diverged, stop if failure is None else int(gaps[failure[0]]))
         chained = iter(integrals.T)  # z is chained across the unruled gaps
-        for j in range(start, stop if failure is None else gaps[failure[0]]):
-            z = late[j - top] if ruled[j] else next(chained) + math.exp(-(b[j] - a[j])) * z
-            if not np.isfinite(z).all():
+        for j, is_ruled in enumerate(ruled[start:end].tolist(), start):
+            z = late[j - top] if is_ruled else next(chained) + math.exp(-widths[j]) * z
+            if not (is_ruled or np.isfinite(z).all()):  # its block checked a ruled z
                 raise NumericalError("integration diverged")
             zs.append(z)
+        if end == diverged:
+            raise NumericalError("integration diverged")
         if failure is not None:
             raise NumericalError(failure[1])
         start = stop

@@ -40,6 +40,16 @@ class SeparableMonotoneOperator:
     Each phi_i must be a pure function of its scalar input; monotonicity
     means (A(u) - A(v), u - v) >= 0 for all u, v, which
     :func:`check_monotonicity` spot-checks.
+
+    The gap certificates of :func:`near_minimize` and
+    :func:`nonlinear_discrepancy_result` are rigorous only when each
+    coordinate functional (phi_i(x) - g_i)^2 + eps x^2 is unimodal on its
+    search bracket, as for the shipped cubic family.  Nothing checks this,
+    and monotonicity alone does not give it: phi = x up to 1, slope 1e-3 up
+    to 10 and slope 1 beyond has two basins at f = [1.5], and with
+    delta = 0.1 and C = 1.5 the result reports gap_certificate 0 while its
+    true gap at eps = 5.8e-5 is 0.0223, above the budget (C^2 - 1) delta^2
+    = 0.0125.
     """
 
     def __init__(self, phis):

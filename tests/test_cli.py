@@ -67,6 +67,48 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, include_state):
     assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
+def _reference_trajectory_csv(path, config_hash, trajectory, y_reference, include_state):
+    """The row-by-row writer, with a norm and a list repr per row: the
+    reference that ``_write_trajectory_csv`` must match byte for byte."""
+    header = ["t", "residual_norm", "error_vs_reference"]
+    if include_state:
+        header.extend(f"state_{i}" for i in range(trajectory.states.shape[1]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        end = writer.dialect.lineterminator
+        for t, res, state in zip(trajectory.times.tolist(),
+                                 trajectory.residual_norms.tolist(), trajectory.states):
+            row = [t, res, float(np.linalg.norm(state - y_reference))]
+            if include_state:
+                row.extend(state.tolist())
+            fh.write(repr(row)[1:-1].replace(", ", ",") + end)
+
+
+@pytest.fixture(scope="module", params=[(64, 1e-2), (64, 1e-6), (256, 1e-2)],
+                ids=["n64-1e-2", "n64-1e-6", "n256-1e-2"])
+def seeded_blur_trajectory(request):
+    """The trajectory and reference solution of ``solve`` on blur, seed 7."""
+    n, delta = request.param
+    prob = gaussian_blur_problem(n, 0.05)
+    f = add_noise(prob.f_exact, prob.decomposition, NoiseSpec(delta, 7))
+    result = run_dsm(prob.decomposition, default_schedule(), f, delta,
+                     y_reference=prob.y_reference)
+    return result.trajectory, prob.y_reference
+
+
+# include_state=False is what ``convergence --store-trajectory`` writes
+@pytest.mark.parametrize("include_state", [True, False])
+def test_trajectory_csv_matches_the_reference_writer(tmp_path, seeded_blur_trajectory,
+                                                     include_state):
+    traj, y = seeded_blur_trajectory
+    assert len(traj) == 512
+    _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, include_state)
+    _reference_trajectory_csv(tmp_path / "ref.csv", "abc", traj, y, include_state)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def blur_solve(tmp_path_factory):
     """``solve --store-trajectory`` on seeded blur n = 64, its artifacts and a

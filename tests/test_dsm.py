@@ -670,6 +670,45 @@ class TestFailuresAcrossGroups:
             evolve(dec, schedule, prob.f_exact, 1.0, cfg)
         assert info.value.trajectory.times[-1] == 0.25
 
+    @pytest.mark.parametrize("problem", ["identity", "blur"])
+    def test_late_nan_eps_diverges_at_its_report_time(self, gauss32, problem):
+        # eps is NaN from t = 300 on, past _LATE_TIME: no Laguerre row that
+        # reads it is ruled, so the first report time past 300 takes panels
+        # and diverges; the report times before it are all kept
+        prob = gauss32[0] if problem == "blur" else identity_problem(3)
+        dec = prob.decomposition
+        schedule = StepSchedule([1.0, np.nan], [300.0])
+        with pytest.raises(NumericalError, match="integration diverged") as info:
+            evolve(dec, schedule, prob.f_exact, 1000.0)
+        assert info.value.stage == "integration"
+        times = dsm._report_grid(1000.0, DSMConfig().trajectory_points)
+        assert info.value.trajectory.times[-1] == times[times < 300.0][-1]
+        assert round(float(info.value.trajectory.times[-1]), 2) == 299.55
+
+    @pytest.mark.parametrize("unruled", [0, 12])
+    def test_non_finite_ruled_row_raises_at_its_report_time(self, gauss32, monkeypatch,
+                                                            unruled):
+        # a ruled row is checked when its block is built, but the failure is
+        # still raised in report-time order: after the ``unruled`` late rows
+        # before it, which take panels in groups of their own
+        prob, dec = gauss32
+        times = dsm._report_grid(1e4, 40)
+        first = int(np.searchsorted(times, dsm._LATE_TIME, side="right"))
+        bad = first + unruled + 2
+        original = dsm._laguerre_integrals
+
+        def faulty(schedule, sg, lam, b, cfg):
+            values, ruled = original(schedule, sg, lam, b, cfg)
+            values[:, b == times[bad]] = np.inf
+            ruled[(b > times[first + 1]) & (b < times[bad])] = False
+            return values, ruled
+        monkeypatch.setattr(dsm, "_laguerre_integrals", faulty)
+        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
+        with pytest.raises(NumericalError, match="integration diverged") as info:
+            evolve(dec, default_schedule(), f, 1e4, DSMConfig(trajectory_points=40))
+        assert info.value.stage == "integration"
+        assert list(info.value.trajectory.times) == list(times[:bad])
+
 
 class TestRunDSM:
     def test_identity_small_delta_recovers_data(self):
