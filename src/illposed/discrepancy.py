@@ -93,8 +93,8 @@ def build_profile(dec: SpectralDecomposition, f_delta) -> DiscrepancyProfile:
     g.setflags(write=False)  # fresh, so the profile keeps it uncopied
     remainder = f - U @ g
     return DiscrepancyProfile(lambdas=dec.lambdas, coefficients=g,
-                              null_mass=float(remainder @ remainder),
-                              data_norm_sq=float(f @ f))
+                              null_mass=float(remainder.dot(remainder)),
+                              data_norm_sq=float(f.dot(f)))
 
 
 def discrepancy_value(p: DiscrepancyProfile, eps: float) -> float:
@@ -106,8 +106,9 @@ def discrepancy_value(p: DiscrepancyProfile, eps: float) -> float:
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    ratio = eps / (eps + p.lambdas)
-    return math.sqrt(p.null_mass + float(p.betas @ (ratio * ratio)))
+    ratio = np.divide(eps, np.add(p.lambdas, eps))
+    np.multiply(ratio, ratio, out=ratio)
+    return math.sqrt(p.null_mass + float(p.betas.dot(ratio)))
 
 
 def _phi_and_slope(p: DiscrepancyProfile, eps: float) -> tuple[float, float]:
@@ -117,10 +118,13 @@ def _phi_and_slope(p: DiscrepancyProfile, eps: float) -> tuple[float, float]:
     and the slope is 2 sum beta_i q_i^2 (1 - q_i); 1 - q_i is formed as
     lambda_i / (eps + lambda_i), which does not cancel when eps >> lambda_i.
     """
-    d = p.lambdas + eps
-    q = eps / d
-    bq = p.betas * q
-    return p.null_mass + float(bq @ q), 2.0 * float(bq @ (q * (p.lambdas / d)))
+    lam = p.lambdas
+    d = np.add(lam, eps)
+    q = np.divide(eps, d)
+    bq = np.multiply(p.betas, q)
+    np.divide(lam, d, out=d)
+    np.multiply(d, q, out=d)
+    return p.null_mass + float(bq.dot(q)), 2.0 * float(bq.dot(d))
 
 
 def _root_bracket(p: DiscrepancyProfile, t2: float, mass: float,
@@ -157,14 +161,20 @@ def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tup
     """Points a < b such that discrepancy_value(p, eps) < target for every
     eps <= a and >= target for every eps >= b; (0, inf) if none are found.
 
-    A safeguarded Newton iteration in x = ln eps on ln h(e^x) = ln target
-    locates the root, then one probe (or a few) either side of it is
-    evaluated.  Newton starts at the upper end of the bracket from
+    A safeguarded Newton iteration in x = ln eps on g(x) = ln h(e^x) =
+    ln target locates the root, then one probe (or a few) either side of it
+    is evaluated.  Newton starts at the upper end of the bracket from
     ``_root_bracket``, which needs no evaluation and holds the root because
     each q_i = eps / (eps + lambda_i) is monotone in lambda_i; the bracket
-    is also Newton's safeguard.  It only steers the search: of all
-    evaluated points, a is the largest eps with h <= target (1 - kappa)
-    and b the smallest with h >= target (1 + kappa).
+    is also Newton's safeguard.  The step dx = gap / s, with s = g'(x), is
+    corrected for curvature once a Newton step (not a bisection of the
+    bracket) led to x: the slopes at its two ends give
+    g'' ~ (s - s_prev) / (x - x_prev), and dx is divided by
+    1 + dx g'' / (2 s), which puts it at the root of g's quadratic model,
+    while that factor lies in (0.5, 2).  The correction costs no array
+    operation.  Newton only steers the search: a is the largest evaluated
+    eps with h <= target (1 - kappa) and b the smallest with
+    h >= target (1 + kappa), tracked as each evaluation lands.
     Newton's last step, below _NEWTON_XTOL, is not evaluated: its end only
     centres the probes, so an inexact end costs probes, never a wrong margin.
     For positive terms the computed h is within (r + 7) 2^-53 of the exact
@@ -180,43 +190,53 @@ def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tup
     d ln h / d ln eps is at most min(||f||^2 - h^2, h^2 - null_mass) / h^2
     at every eps, so a target this near either limit of h has a flat root.
     """
-    r = p.lambdas.shape[0]
+    lam = p.lambdas
+    r = lam.shape[0]
     kappa = 4.0 * (r + 7) * 2.0 ** -53
     t2 = target * target
-    lam_min, lam_max = float(p.lambdas.min()), float(p.lambdas.max())
+    lam_min, lam_max = float(np.minimum.reduce(lam)), float(np.maximum.reduce(lam))
     if not (t2 > 1e-290 * (mass + r) and mass + p.null_mass < 1e290 and lam_max < 1e300):
         return 0.0, math.inf
     if min(p.data_norm_sq - t2, t2 - p.null_mass) < _FLAT_SLOPE * t2:
         return 0.0, math.inf
     lower, upper = target * (1.0 - kappa), target * (1.0 + kappa)
-    ln_target = math.log(target)
-    points = []  # (eps, h) of every evaluation
+    a, b = 0.0, math.inf
+    ln_target, converged = math.log(target), kappa / 4.0  # |gap| at the rounding level of h
     x_lo, x_hi = _root_bracket(p, t2, mass, lam_min, lam_max)
     x, root = (x_hi if x_hi < _X_CEIL else 0.0), None
     eps = math.exp(x)
+    x_prev = s_prev = None  # where the Newton step that led to x started, and s there
     for _ in range(_NEWTON_STEPS):
         phi, slope = _phi_and_slope(p, eps)
         h = math.sqrt(phi)
-        points.append((eps, h))
         if h < target:
             x_lo = x
+            if h <= lower and eps > a:
+                a = eps
         else:
             x_hi = x
+            if h >= upper and eps < b:
+                b = eps
         s = 0.5 * slope / phi if phi > 0.0 else 0.0  # d ln h / d ln eps
         if s > 0.0:
             gap = ln_target - math.log(h)
-            dx = gap / s
             # test for convergence before the safeguard: a converged step
             # lands on a bracket end, and bisecting it would never stop
-            if abs(gap) <= kappa / 4.0:  # at the rounding level of h
+            if abs(gap) <= converged:
                 root = x
                 break
+            dx = gap / s
+            if x_prev is not None and (den := 2.0 * s * (x - x_prev)) != 0.0:
+                factor = 1.0 + dx * (s - s_prev) / den
+                if 0.5 < factor < 2.0:
+                    dx /= factor
             if abs(dx) <= _NEWTON_XTOL:
                 root = x + dx
                 break
+            x_prev, s_prev = x, s
             x += dx
         if not (s > 0.0 and x_lo < x < x_hi):
-            x = 0.5 * (x_lo + x_hi)
+            x, x_prev = 0.5 * (x_lo + x_hi), None
         eps = math.exp(x)
     if root is not None:
         for side in (-1.0, 1.0):
@@ -224,12 +244,16 @@ def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tup
             for _ in range(_PROBES):
                 eps = math.exp(min(max(root + side * offset, _X_FLOOR), _X_CEIL))
                 h = discrepancy_value(p, eps)
-                points.append((eps, h))
-                if (h <= lower) if side < 0.0 else (h >= upper):
-                    break
+                if h <= lower:
+                    a = max(a, eps)
+                    if side < 0.0:
+                        break
+                elif h >= upper:
+                    b = min(b, eps)
+                    if side > 0.0:
+                        break
                 offset *= 2.0
-    return (max((e for e, h in points if h <= lower), default=0.0),
-            min((e for e, h in points if h >= upper), default=math.inf))
+    return a, b
 
 
 def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float, float, int]:
@@ -275,16 +299,17 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         if hi > _EPS_CEIL:
             raise NumericalError("discrepancy bracket growth overflowed")
     achieved = None  # discrepancy_value(p, hi), once the replay has evaluated it
-    while hi - lo > _BRACKET_RTOL * hi:
+    value, sqrt, rtol, tiny = discrepancy_value, math.sqrt, _BRACKET_RTOL, _NORMAL_MIN
+    while hi - lo > rtol * hi:
         prod = lo * hi  # not a normal number for roots below about 1e-150
-        mid = math.sqrt(prod) if prod >= _NORMAL_MIN else math.sqrt(lo) * math.sqrt(hi)
+        mid = sqrt(prod) if prod >= tiny else sqrt(lo) * sqrt(hi)
         if mid <= lo or mid >= hi:
             break
         if mid <= a:
             lo = mid
         elif mid >= b:
             hi, achieved = mid, None
-        elif (h := discrepancy_value(p, mid)) < target:
+        elif (h := value(p, mid)) < target:
             lo = mid
         else:
             hi, achieved = mid, h

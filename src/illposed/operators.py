@@ -147,7 +147,7 @@ def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.nd
         raise PreconditionError(f"eps must be positive, got {eps}")
     v = _data_vector(f, dec.rows)
     coef = dec.singular_values * (dec.left_vectors.T @ v)
-    return dec.right_vectors @ (coef / (dec.lambdas + eps))
+    return dec.right_vectors @ (coef / np.add(dec.lambdas, eps))
 
 
 def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarray:

@@ -332,10 +332,13 @@ class TestRootMatchesBisection:
     def test_blur(self, n, C):
         prob = gaussian_blur_problem(n, 0.05)
         dec = prob.decomposition
-        for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-            for seed in range(4):
-                p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, seed)))
-                _assert_same_root(p, delta, C)
+        cases = [(delta, seed) for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+                 for seed in range(4)]
+        if C == 1.0 and n != 16:  # the tikhonov-mc benchmark workload's inputs
+            cases += [(delta, seed) for delta in (1e-2, 1e-4, 1e-6) for seed in range(4, 50)]
+        for delta, seed in cases:
+            p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, seed)))
+            _assert_same_root(p, delta, C)
 
     @pytest.mark.parametrize("lam, target", [(1e295, 1.0 - 1e-14), (1e308, 0.4)])
     def test_expansion_overflow(self, lam, target):
@@ -438,9 +441,48 @@ def test_root_evaluation_budget(monkeypatch, n, delta):
     dec = prob.decomposition
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, 7)))
     eps, achieved, iterations = _epsilon_root(p, delta, 1.0)
-    assert len(calls) <= 10
+    assert len(calls) <= 9
     assert iterations == 53
     assert (eps, achieved, iterations) == _bisection_reference(p, delta, 1.0)
+
+
+def test_mean_root_evaluations_on_blur(monkeypatch):
+    # 8.61 evaluations a root over these 600: 9.51 with uncorrected Newton
+    # steps, and 9.78 with the curvature correction's sign flipped, which
+    # keeps every result bit for bit
+    calls = _count_evaluations(monkeypatch)
+    roots = 0
+    for n in (64, 256):
+        prob = gaussian_blur_problem(n, 0.05)
+        dec = prob.decomposition
+        for delta in (1e-2, 1e-4, 1e-6):
+            for seed in range(100):
+                p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(delta, seed)))
+                _epsilon_root(p, delta, 1.0)
+                roots += 1
+    assert len(calls) / roots <= 8.65
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_phi_and_slope_match_the_discrepancy(seed):
+    # phi is discrepancy_value^2, and the slope its derivative in x = ln eps
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 65))
+    lambdas = 10.0 ** rng.uniform(-8.0, 2.0, r)
+    g = rng.standard_normal(r)
+    null_mass = float(rng.uniform(0.0, 0.1))
+    p = DiscrepancyProfile(lambdas=lambdas, coefficients=g, null_mass=null_mass,
+                           data_norm_sq=float(g @ g) + null_mass)
+    x = float(rng.uniform(math.log(lambdas.min()), math.log(lambdas.max())))
+    phi, slope = discrepancy._phi_and_slope(p, math.exp(x))
+    assert abs(phi - discrepancy_value(p, math.exp(x)) ** 2) <= 1e-13 * phi
+    if slope <= 1e-3 * phi:  # too flat for the central difference to resolve
+        return
+    step = 1e-4
+    central = (discrepancy_value(p, math.exp(x + step)) ** 2
+               - discrepancy_value(p, math.exp(x - step)) ** 2) / (2.0 * step)
+    assert abs(central - slope) <= 1e-6 * slope
 
 
 def test_near_flat_root_costs_no_more_than_the_bisection(monkeypatch):
