@@ -10,13 +10,12 @@ problems and a reproducible CLI.
 
 from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
                           discrepancy_value, solve_for_epsilon,
-                          stop_from_profile, stopping_time)
+                          stop_from_profile)
 from .dsm import DSMConfig, DSMResult, Trajectory, evolve, run_dsm
 from .errors import (ConfigError, DimensionMismatchError, IllposedError,
                      NumericalError, PreconditionError)
-from .nonlinear import (NearMinimizer, NonlinearStopping,
-                        SeparableMonotoneOperator, check_monotonicity,
-                        functional_F, near_minimize, nonlinear_discrepancy_result)
+from .nonlinear import (NearMinimizer, NonlinearStopping, SeparableMonotoneOperator,
+                        near_minimize, nonlinear_discrepancy_result)
 from .operators import (DenseOperator, SpectralDecomposition, as_vector,
                         decompose, normalize, project_range_closure,
                         regularized_normal_solve,
@@ -54,13 +53,11 @@ __all__ = [
     "add_noise",
     "as_vector",
     "build_profile",
-    "check_monotonicity",
     "cubic_separable_problem",
     "decompose",
     "default_schedule",
     "discrepancy_value",
     "evolve",
-    "functional_F",
     "gaussian_blur_problem",
     "hilbert_problem",
     "identity_problem",
@@ -74,5 +71,4 @@ __all__ = [
     "run_dsm",
     "solve_for_epsilon",
     "stop_from_profile",
-    "stopping_time",
 ]

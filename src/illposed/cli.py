@@ -272,10 +272,12 @@ def _write_trajectory_csv(path: Path, config_hash: str, trajectory, y_reference,
 
 def _noisy_run(cfg: ExperimentConfig, prob: TestProblem, delta: float, seed: int):
     """``run_dsm`` on the problem's spectrum, with its exact data noised by
-    ``NoiseSpec(delta, seed)`` unless the config turns noise off."""
+    ``NoiseSpec(delta, seed)`` unless the config turns noise off, projected
+    onto the range when ``in_range_closure`` is set."""
     dec, f_delta = prob.decomposition, prob.f_exact
     if cfg.noise:
-        f_delta = add_noise(f_delta, dec, NoiseSpec(delta, seed, cfg.in_range_closure))
+        f_delta = add_noise(f_delta, dec if cfg.in_range_closure else None,
+                            NoiseSpec(delta, seed))
     return run_dsm(dec, cfg.schedule, f_delta, delta, cfg.C, cfg.dsm_config,
                    y_reference=prob.y_reference)
 
@@ -369,7 +371,7 @@ def cmd_nonlinear(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
     rows = []
     for k, delta in enumerate(cfg.delta_sequence):
         try:
-            noise = NoiseSpec(delta, cfg.seed + k, in_range_closure=False)
+            noise = NoiseSpec(delta, cfg.seed + k)
             f_delta = add_noise(f_exact, None, noise) if cfg.noise else f_exact
             res = nonlinear_discrepancy_result(op, f_delta, delta, cfg.C)
         except IllposedError as exc:

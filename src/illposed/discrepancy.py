@@ -299,10 +299,11 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         if hi > _EPS_CEIL:
             raise NumericalError("discrepancy bracket growth overflowed")
     achieved = None  # discrepancy_value(p, hi), once the replay has evaluated it
-    value, sqrt, rtol, tiny = discrepancy_value, math.sqrt, _BRACKET_RTOL, _NORMAL_MIN
+    value, sqrt, rtol, tiny, inf = (discrepancy_value, math.sqrt, _BRACKET_RTOL,
+                                    _NORMAL_MIN, math.inf)
     while hi - lo > rtol * hi:
-        prod = lo * hi  # not a normal number for roots below about 1e-150
-        mid = sqrt(prod) if prod >= tiny else sqrt(lo) * sqrt(hi)
+        prod = lo * hi  # subnormal below about 1e-150, inf above about 1e154
+        mid = sqrt(prod) if tiny <= prod < inf else sqrt(lo) * sqrt(hi)
         if mid <= lo or mid >= hi:
             break
         if mid <= a:
@@ -348,22 +349,14 @@ class StoppingResult:
     iterations: int
 
 
-def stopping_time(schedule: Schedule, epsilon_star: float, *,
-                  achieved_discrepancy: float = math.nan,
-                  iterations: int = 0) -> StoppingResult:
-    """Map a discrepancy root to the schedule time at which eps(t) hits it."""
-    if epsilon_star > schedule.eps0:
-        raise PreconditionError(
-            "stopping time negative; decrease c1 or start further back")
-    t = schedule.invert(epsilon_star)
-    return StoppingResult(epsilon_star=float(epsilon_star), t_delta=float(t),
-                          achieved_discrepancy=float(achieved_discrepancy),
-                          iterations=int(iterations))
-
-
 def stop_from_profile(p: DiscrepancyProfile, schedule: Schedule,
                       delta: float, C: float = 1.0) -> StoppingResult:
-    """Solve the discrepancy equation and package the stopping time."""
+    """Solve the discrepancy equation and map its root eps* to the schedule
+    time at which eps(t) reaches it.  A root above eps(0), which no
+    t >= 0 reaches, raises PreconditionError."""
     eps, achieved, iters = _epsilon_root(p, delta, C)
-    return stopping_time(schedule, eps, achieved_discrepancy=achieved,
-                         iterations=iters)
+    if eps > schedule.eps0:
+        raise PreconditionError(
+            "stopping time negative; decrease c1 or start further back")
+    return StoppingResult(epsilon_star=float(eps), t_delta=float(schedule.invert(eps)),
+                          achieved_discrepancy=float(achieved), iterations=int(iters))

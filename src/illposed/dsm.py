@@ -389,7 +389,9 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     with _stage("projection"):
         f_used, projected_null = f, 0.0
         if C == 1.0 and dec.numerical_rank < dec.rows:
-            f_used, projected_null = project_range_closure(dec, f)
+            f_used = project_range_closure(dec, f)
+            d = f - f_used
+            projected_null = float(d @ d)
             if projected_null > _NULL_DUST_REL * float(f @ f):
                 raise PreconditionError(
                     "data has null-space component; project f_delta or increase C")

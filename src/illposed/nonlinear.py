@@ -37,9 +37,9 @@ class SeparableMonotoneOperator:
     continuous and nondecreasing (strictly increasing in shipped
     instances), so the regularized functional splits per coordinate.
 
-    Each phi_i must be a pure function of its scalar input; monotonicity
-    means (A(u) - A(v), u - v) >= 0 for all u, v, which
-    :func:`check_monotonicity` spot-checks.
+    Each phi_i must be a pure scalar function of its scalar input (an empty
+    tuple of maps, a wrong-length argument or an array-valued map raises);
+    monotonicity, (A(u) - A(v), u - v) >= 0 for all u, v, is not checked.
 
     The gap certificates of :func:`near_minimize` and
     :func:`nonlinear_discrepancy_result` are rigorous only when each
@@ -90,14 +90,6 @@ class NearMinimizer:
 
     def __post_init__(self):
         object.__setattr__(self, "u", _frozen(self.u))
-
-
-def functional_F(op: SeparableMonotoneOperator, f_delta, eps: float, u) -> float:
-    """||A(u) - f_delta||^2 + eps ||u||^2."""
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    return _near_minimizer(op, as_vector(f_delta, "data vector"), eps,
-                           as_vector(u, "argument"), 0.0).F_value
 
 
 def _near_minimizer(op, f: np.ndarray, eps: float, u: np.ndarray,
@@ -313,19 +305,3 @@ def _continue_across(op, f: np.ndarray, below: NearMinimizer, above: NearMinimiz
             t_hi = theta
     return replace(nm, gap_certificate=max(nm.F_value - floor, 0.0)), theta
 
-
-def check_monotonicity(op: SeparableMonotoneOperator, pairs: int = 1000,
-                       seed: int = 0) -> float:
-    """Smallest inner product (A(u)-A(v), u-v) over seeded random pairs.
-
-    Monotone operators keep this nonnegative up to rounding; callers
-    assert the returned minimum is above a small negative tolerance.
-    """
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(pairs):
-        u = rng.standard_normal(op.dimension)
-        v = rng.standard_normal(op.dimension)
-        ip = float((op(u) - op(v)) @ (u - v))
-        worst = min(worst, ip)
-    return worst

@@ -167,14 +167,11 @@ def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarr
     return np.linalg.solve(L.T, np.linalg.solve(L, A.entries.T @ v))
 
 
-def project_range_closure(dec: SpectralDecomposition, f) -> tuple[np.ndarray, float]:
+def project_range_closure(dec: SpectralDecomposition, f) -> np.ndarray:
     """Project ``f`` onto the span of the retained left singular vectors.
 
-    Returns the projection together with the squared norm of the
-    discarded component (the data's mass in the null space of A^T).
+    The discarded component ``f - projection`` is the data's part in the
+    null space of A^T; callers that judge it form it themselves.
     """
-    v = _data_vector(f, dec.rows)
     U = dec.left_vectors
-    proj = U @ (U.T @ v)
-    d = v - proj
-    return proj, float(d @ d)
+    return U @ (U.T @ _data_vector(f, dec.rows))

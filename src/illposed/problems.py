@@ -3,8 +3,8 @@
 Each linear generator returns an operator normalized to unit spectral
 norm, exact data f = A y, and the minimal-norm reference solution y
 (constructed orthogonal to the operator's numerical null space).  Noise
-is injected with exact magnitude delta, optionally confined to the
-closure of the operator's range.
+is injected with exact magnitude delta, confined to the closure of the
+operator's range when ``add_noise`` is given its decomposition.
 
 Randomness comes from ``numpy.random.default_rng`` (the PCG64 generator)
 seeded as documented per call, so identical seeds reproduce bit-identical
@@ -33,7 +33,6 @@ class TestProblem:
     f_exact: np.ndarray
     y_reference: np.ndarray
     label: str
-    ill_posedness: float
     decomposition: SpectralDecomposition
 
     def __post_init__(self):
@@ -45,7 +44,6 @@ class TestProblem:
 class NoiseSpec:
     delta: float
     seed: int
-    in_range_closure: bool = True
 
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
@@ -60,10 +58,8 @@ def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestPr
     dec = decompose(A)
     V = dec.right_vectors
     y = V @ (V.T @ y_raw)
-    f = A.entries @ y
-    cond = float(dec.singular_values[0] / dec.singular_values[-1])
-    return TestProblem(operator=A, f_exact=f, y_reference=y,
-                       label=label, ill_posedness=cond, decomposition=dec)
+    return TestProblem(operator=A, f_exact=A.entries @ y, y_reference=y, label=label,
+                       decomposition=dec)
 
 
 def identity_problem(n: int) -> TestProblem:
@@ -73,7 +69,7 @@ def identity_problem(n: int) -> TestProblem:
     y = np.ones(n) / math.sqrt(n)
     A = DenseOperator(np.eye(n))
     return TestProblem(operator=A, f_exact=y.copy(), y_reference=y, label=f"identity(n={n})",
-                       ill_posedness=1.0, decomposition=decompose(A))
+                       decomposition=decompose(A))
 
 
 def hilbert_problem(n: int) -> TestProblem:
@@ -121,9 +117,8 @@ def rank_deficient_problem(n: int, r: int, seed: int) -> TestProblem:
     y = V[:, :r] @ c
     y /= np.linalg.norm(y)
     A = DenseOperator(entries)
-    return TestProblem(operator=A, f_exact=entries @ y, y_reference=y,
-                       label=f"rank_deficient(n={n},r={r},seed={seed})",
-                       ill_posedness=float(sigma[0] / sigma[-1]), decomposition=decompose(A))
+    return TestProblem(operator=A, f_exact=entries @ y, y_reference=y, decomposition=decompose(A),
+                       label=f"rank_deficient(n={n},r={r},seed={seed})")
 
 
 def _orthonormal(M: np.ndarray) -> np.ndarray:
@@ -161,21 +156,19 @@ def add_noise(f_exact, dec: SpectralDecomposition | None,
               spec: NoiseSpec) -> np.ndarray:
     """Perturb exact data by a seeded direction of exact magnitude delta.
 
-    With ``in_range_closure`` the direction is first projected onto the
-    retained range of ``dec`` (otherwise ``dec`` is unread and may be None),
-    so data orthogonal to N(A^T) stays orthogonal.  A degenerate projected
-    draw triggers a redraw with seed+1, at most 8 retries.
+    The direction is projected onto the retained range of ``dec`` exactly
+    when a decomposition is given, so data orthogonal to N(A^T) stays
+    orthogonal; with ``dec`` None it is the raw draw.  A degenerate
+    projected draw triggers a redraw with seed+1, at most 8 retries.
     """
     f = as_vector(f_exact, "exact data")
-    if spec.in_range_closure and dec is None:
-        raise PreconditionError("a decomposition is needed to project onto the range")
     if spec.delta >= math.sqrt(f @ f):
         raise PreconditionError(
             f"delta = {spec.delta} must be smaller than the exact data norm")
     for attempt in range(9):
         e = np.random.default_rng(spec.seed + attempt).standard_normal(f.shape[0])
-        if spec.in_range_closure:
-            e, _ = project_range_closure(dec, e)
+        if dec is not None:
+            e = project_range_closure(dec, e)
         norm_e = math.sqrt(e @ e)
         if norm_e > 1e-8:
             return f + (spec.delta / norm_e) * e

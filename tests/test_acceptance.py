@@ -120,7 +120,7 @@ def test_criterion_03_monotonicity_and_limits():
         profiles.append((build_profile(dec_id, [0.6, 0.64, 0.48]), True))
         rd = rank_deficient_problem(10, 5, 1)
         dec_rd = rd.decomposition
-        f_rd = add_noise(rd.f_exact, dec_rd, NoiseSpec(1e-2, 5, in_range_closure=False))
+        f_rd = add_noise(rd.f_exact, None, NoiseSpec(1e-2, 5))
         profiles.append((build_profile(dec_rd, f_rd), True))
         # severely ill-posed instances: retained spectrum reaches below the
         # 1e-14 probe, so only the grid monotonicity and the upper limit apply
@@ -228,12 +228,12 @@ def test_criterion_08_null_space_handling():
         s = PowerLawSchedule(c0=1.0, c1=2.0, b=0.5)
         errors = {}
         for delta in (1e-1, 1e-2, 1e-3, 1e-4):
-            f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 13, in_range_closure=False))
+            f = add_noise(prob.f_exact, None, NoiseSpec(delta, 13))
             res = run_dsm(dec, s, f, delta, C=2.0, y_reference=prob.y_reference)
             errors[delta] = res.error_vs_reference
         assert errors[1e-4] < errors[1e-1]
 
-        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 13, in_range_closure=False))
+        f = add_noise(prob.f_exact, None, NoiseSpec(1e-2, 13))
         with pytest.raises(PreconditionError, match="null-space component"):
             run_dsm(dec, s, f, 1e-2, C=1.0)
 

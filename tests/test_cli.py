@@ -432,6 +432,26 @@ class TestNonlinear:
         assert main(["nonlinear", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
 
+def test_summary_lines(tmp_path, capsys):
+    # without --quiet each command prints one line naming what it wrote
+    out = tmp_path / "out"
+    path = write_config(tmp_path, delta=0.1, noise=False)
+    assert main(["solve", "--config", str(path)]) == EXIT_OK
+    result = json.loads((out / "results.json").read_text())
+    assert capsys.readouterr().out == (
+        f"solve identity(n=4): epsilon_star={result['epsilon_star']:.6e} "
+        f"t_delta={result['t_delta']:.6e} residual={result['residual']:.6e}\n")
+    path = write_config(tmp_path, problem={"name": "hilbert", "n": 6},
+                        delta_sequence=[1e-1, 1e-2, 1e-3])
+    assert main(["convergence", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"convergence hilbert(n=6): 3 rows -> {out / 'convergence.csv'}\n")
+    path = write_config(tmp_path, problem={"name": "cubic", "n": 4}, C=1.1,
+                        delta_sequence=[1e-1, 1e-2])
+    assert main(["nonlinear", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == f"nonlinear: 2 rows -> {out / 'nonlinear.csv'}\n"
+
+
 class TestCheckSchedule:
     def test_default_admissible(self, tmp_path):
         path = write_config(tmp_path)
@@ -607,12 +627,19 @@ class TestConfigParsing:
                        "delta_sequence": [1e-1, 1e-2]}, "'width'"),
         ("check-schedule", {"problem": {"name": "identity", "n": 2}, "schedule": {"B": 0.99},
                             "relative_tolerence": 1e-3}, "'relative_tolerence'"),
+        # each command refuses a config that it cannot run
+        ("solve", {"problem": {"name": "cubic", "n": 4}}, "problem kind 'cubic' is not linear"),
+        ("nonlinear", {"problem": {"name": "cubic", "n": 4}, "C": 1.1},
+         "nonlinear needs a delta_sequence"),
+        # null is no delta, as is leaving it out
+        ("solve", {"delta": None}, 'solve needs a single "delta" field'),
     ], ids=["blur_n_4", "cubic_negative_coefficients", "delta_above_data_norm",
             "cubic_n_negative", "cubic_coefficients_length", "identity_n_257",
             "rank_deficient_n_257", "cubic_n_257", "problem_without_name",
             "schedule_number", "unknown_key", "unknown_schedule_key",
             "unknown_blur_key", "unknown_hilbert_key", "unknown_cubic_key",
-            "unknown_keys_check_schedule"])
+            "unknown_keys_check_schedule", "solve_cubic", "nonlinear_without_delta_sequence",
+            "solve_delta_null"])
     def test_no_output_directory_on_config_error(self, tmp_path, capsys, command,
                                                  overrides, message):
         path = write_config(tmp_path, **{"delta": 0.1, **overrides})

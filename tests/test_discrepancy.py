@@ -11,7 +11,7 @@ from illposed import (DenseOperator, NoiseSpec, PowerLawSchedule, PreconditionEr
                       add_noise, build_profile, decompose, default_schedule,
                       discrepancy_value, gaussian_blur_problem,
                       rank_deficient_problem, regularized_normal_solve,
-                      solve_for_epsilon, stop_from_profile, stopping_time)
+                      solve_for_epsilon, stop_from_profile)
 from illposed.discrepancy import (_BRACKET_RTOL, _EPS_FLOOR, DiscrepancyProfile,
                                   _epsilon_root)
 from illposed.errors import NumericalError
@@ -173,18 +173,30 @@ class TestSolveForEpsilon:
             solve_for_epsilon(p, 0.5, 1.0)
 
 
+def stop_at(schedule, eps):
+    """``stop_from_profile`` on the one-mode profile h(e) = e / (1 + e),
+    whose root at the target eps / (1 + eps) is eps."""
+    p = DiscrepancyProfile(lambdas=np.array([1.0]), coefficients=np.array([1.0]),
+                           null_mass=0.0, data_norm_sq=1.0)
+    return stop_from_profile(p, schedule, eps / (1.0 + eps))
+
+
 class TestStoppingTime:
     def test_example(self):
-        res = stopping_time(default_schedule(), 0.1)
+        res = stop_at(default_schedule(), 0.1)
+        assert abs(res.epsilon_star - 0.1) <= 1e-14
         assert abs(res.t_delta - 99.0) <= 1e-10
 
     def test_boundary(self):
+        # h(1) = 1/2 exactly, and the root is the bracket's untouched upper end
         s = default_schedule()
-        assert stopping_time(s, s.eval(0.0)).t_delta == 0.0
+        res = stop_at(s, s.eval(0.0))
+        assert res.epsilon_star == 1.0
+        assert res.t_delta == 0.0
 
     def test_above_start_rejected(self):
         with pytest.raises(PreconditionError, match="stopping time negative"):
-            stopping_time(default_schedule(), 2.0)
+            stop_at(default_schedule(), 2.0)
 
     def test_eps0_evaluated_once_per_schedule(self):
         calls = []
@@ -196,9 +208,9 @@ class TestStoppingTime:
 
         s = Counting()
         for eps in (0.5, 0.1, 1e-3):
-            stopping_time(s, eps)
+            stop_at(s, eps)
         with pytest.raises(PreconditionError, match="stopping time negative"):
-            stopping_time(s, 2.0)
+            stop_at(s, 2.0)
         with pytest.raises(PreconditionError, match=r"exceeds eps\(0\) = 1.0"):
             s.invert(2.0)
         assert calls == [0.0]
@@ -254,7 +266,7 @@ def _bisection_reference(p, delta, C):
         if hi > 1e308:
             raise NumericalError("discrepancy bracket growth overflowed")
     while hi - lo > _BRACKET_RTOL * hi:
-        mid = (math.sqrt(lo * hi) if lo * hi >= sys.float_info.min
+        mid = (math.sqrt(lo * hi) if sys.float_info.min <= lo * hi < math.inf
                else math.sqrt(lo) * math.sqrt(hi))
         if mid <= lo or mid >= hi:
             break
@@ -356,6 +368,16 @@ class TestRootMatchesBisection:
                                null_mass=0.0, data_norm_sq=2.0)
         eps, achieved, _ = _assert_same_root(p, 0.5, 1.0)
         assert eps < 1e-299
+        assert abs(achieved - 0.5) <= 1e-10 * p.data_norm
+
+    @pytest.mark.parametrize("top", [160, 199, 200, 250, 299])
+    def test_root_above_the_midpoint_overflow(self, top):
+        # lo * hi is inf once the bracket rises above about 1e154
+        p = DiscrepancyProfile(lambdas=np.array([10.0 ** top, 10.0 ** (top - 1)]),
+                               coefficients=np.array([1.0, 1.0]),
+                               null_mass=0.0, data_norm_sq=2.0)
+        eps, achieved, _ = _assert_same_root(p, 0.5, 1.0)
+        assert abs(eps / 10.0 ** (top - 2) - 9.690227718889) <= 1e-11
         assert abs(achieved - 0.5) <= 1e-10 * p.data_norm
 
     def test_root_below_the_floor_raises(self):

@@ -250,7 +250,7 @@ def test_final_state_matches_per_mode_quadrature_at_the_stopping_time(delta):
     s = default_schedule()
     res = run_dsm(dec, s, f, delta)
     t = res.stopping.t_delta
-    p = build_profile(dec, project_range_closure(dec, f)[0])
+    p = build_profile(dec, project_range_closure(dec, f))
     z = [quad(lambda tau, sg=sg, lam=lam: math.exp(-tau) * sg / (lam + s.eval(t - tau)),
               0.0, 60.0, epsabs=0.0, epsrel=1e-13)[0]
          for sg, lam in zip(dec.singular_values * p.coefficients, p.lambdas)]
@@ -346,7 +346,7 @@ def test_late_times_match_the_panel_only_path_at_the_stopping_time(monkeypatch, 
     res = run_dsm(dec, s, f, delta)
     assert 321 <= 511 - gaps[0] <= 433
     assert gaps[0] == _early_gaps(res.trajectory)
-    profile = build_profile(dec, project_range_closure(dec, f)[0])
+    profile = build_profile(dec, project_range_closure(dec, f))
     reference, failure = _panel_only_trajectory(dec, s, profile, res.stopping.t_delta)
     assert failure is None
     _assert_states_agree(res.trajectory, reference, 1e-14)
@@ -820,9 +820,9 @@ def test_w_final_is_the_regularized_solve(delta, C, in_range):
     # on the data it solved with, bit for bit
     prob = gaussian_blur_problem(64, 0.05)
     dec = prob.decomposition
-    f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7, in_range_closure=in_range))
+    f = add_noise(prob.f_exact, dec if in_range else None, NoiseSpec(delta, 7))
     res = run_dsm(dec, default_schedule(), f, delta, C=C)
-    f_used = project_range_closure(dec, f)[0] if C == 1.0 else f
+    f_used = project_range_closure(dec, f) if C == 1.0 else f
     assert np.array_equal(
         res.w_final, regularized_normal_solve(dec, res.stopping.epsilon_star, f_used))
 
@@ -832,7 +832,7 @@ class TestNullSpacePolicy:
         from illposed import rank_deficient_problem
         prob = rank_deficient_problem(12, 6, 1)
         dec = prob.decomposition
-        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 13, in_range_closure=False))
+        f = add_noise(prob.f_exact, None, NoiseSpec(1e-2, 13))
         with pytest.raises(PreconditionError, match="null-space component"):
             run_dsm(dec, default_schedule(), f, 1e-2, C=1.0)
 
@@ -840,14 +840,16 @@ class TestNullSpacePolicy:
         from illposed import rank_deficient_problem
         prob = rank_deficient_problem(12, 6, 1)
         dec = prob.decomposition
-        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 13, in_range_closure=True))
+        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 13))
         res = run_dsm(dec, default_schedule(), f, 1e-2, C=1.0)
         assert res.projected_null_mass <= 1e-20
+        d = f - project_range_closure(dec, f)
+        assert res.projected_null_mass == float(d @ d)
 
     def test_c_above_one_accepts_null_component(self):
         from illposed import rank_deficient_problem
         prob = rank_deficient_problem(12, 6, 1)
         dec = prob.decomposition
-        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 13, in_range_closure=False))
+        f = add_noise(prob.f_exact, None, NoiseSpec(1e-2, 13))
         res = run_dsm(dec, default_schedule(), f, 1e-2, C=2.0)
         assert abs(res.stopping.achieved_discrepancy - 2e-2) <= 1e-10 * np.linalg.norm(f)

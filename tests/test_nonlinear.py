@@ -7,9 +7,15 @@ import pytest
 import illposed.nonlinear
 from illposed import (NearMinimizer, NoiseSpec,
                       NumericalError, PreconditionError,
-                      SeparableMonotoneOperator, add_noise, check_monotonicity,
-                      cubic_separable_problem, functional_F, near_minimize,
+                      SeparableMonotoneOperator, add_noise,
+                      cubic_separable_problem, near_minimize,
                       nonlinear_discrepancy_result)
+
+
+def functional_F(op, f, eps, u):
+    """||A(u) - f||^2 + eps ||u||^2, with the library's arithmetic."""
+    r = op(u) - f
+    return float(r @ r + eps * (u @ u))
 
 
 def scan_minimize(phi, g, eps, radius, points=1_000_000):
@@ -52,7 +58,7 @@ def sweep_data(f_exact, seed, delta):
     """The noisy data of one sweep run: noise seed ``seed + k`` for the
     k-th delta of SWEEP_DELTAS, as ``illposed nonlinear`` draws it."""
     k = SWEEP_DELTAS.index(delta)
-    return add_noise(f_exact, None, NoiseSpec(delta, seed + k, in_range_closure=False))
+    return add_noise(f_exact, None, NoiseSpec(delta, seed + k))
 
 
 def reference_discrepancy(op, f, delta, C):
@@ -113,18 +119,27 @@ CONTINUED_RUNS = [(1.1, seed, 1e-4) for seed in (6, 18, 29, 33)] + [
 
 
 class TestFunctional:
+    """The F_value and residual every near-minimizer carries."""
+
+    @staticmethod
+    def at(op, f, eps, u):
+        return illposed.nonlinear._near_minimizer(op, np.asarray(f, float), eps,
+                                                  np.asarray(u, float), 0.0)
+
     def test_at_zero(self):
         op, f, _ = cubic_op(4)
-        assert functional_F(op, f, 0.5, np.zeros(4)) == pytest.approx(float(f @ f))
+        nm = self.at(op, f, 0.5, np.zeros(4))
+        assert nm.F_value == pytest.approx(float(f @ f))
+        assert nm.residual == pytest.approx(float(np.linalg.norm(f)))
 
     def test_exact_solution_leaves_penalty(self):
         op, f, y = cubic_op(4)
         eps = 0.125
-        assert functional_F(op, f, eps, y) == pytest.approx(eps * float(y @ y))
+        assert self.at(op, f, eps, y).F_value == pytest.approx(eps * float(y @ y))
 
     def test_scalar_cubic(self):
         op, _ = cubic_separable_problem(1, [1.0], [1.0])
-        assert functional_F(op, [2.0], 0.5, [1.0]) == pytest.approx(0.5)
+        assert self.at(op, [2.0], 0.5, [1.0]).F_value == pytest.approx(0.5)
 
 
 class TestNearMinimize:
@@ -288,7 +303,7 @@ class TestDiscrepancy:
         # off C*delta; the continuation between the bracket's two cached
         # near-minimizers lands on C*delta with a certificate in budget
         op, f_exact, _ = cubic_op(8)
-        f = add_noise(f_exact, None, NoiseSpec(1e-4, 1269187315, in_range_closure=False))
+        f = add_noise(f_exact, None, NoiseSpec(1e-4, 1269187315))
         res = nonlinear_discrepancy_result(op, f, 1e-4, 1.1)
         tol = 1e-9 * np.linalg.norm(f)
         upper = dict((eps, h) for eps, h, _, _ in res.trace)[res.epsilon_delta]
@@ -371,13 +386,3 @@ class TestDiscrepancy:
         with pytest.raises(NumericalError, match="no root in scan range") as info:
             nonlinear_discrepancy_result(op, np.array([2.0]), 1e-2, 1.1)
         assert [t[0] for t in info.value.trace] == [1e-14]
-
-
-class TestMonotonicity:
-    def test_cubic_family(self):
-        op, _, _ = cubic_op(8)
-        assert check_monotonicity(op, pairs=1000, seed=1) >= -1e-12
-
-    def test_fails_on_decreasing_map(self):
-        op = SeparableMonotoneOperator((lambda x: -x, lambda x: -2.0 * x))
-        assert check_monotonicity(op, pairs=100, seed=1) < 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from illposed import (ConfigError, DSMConfig, DenseOperator, DimensionMismatchError,
-                      DiscrepancyProfile, NoiseSpec, PreconditionError, as_vector,
+                      DiscrepancyProfile, NoiseSpec, NumericalError, PowerLawSchedule,
+                      PreconditionError, SeparableMonotoneOperator, as_vector,
                       build_profile, cubic_separable_problem, decompose, default_schedule,
-                      evolve, near_minimize)
+                      evolve, near_minimize, nonlinear_discrepancy_result)
 
 
 def _dec(n):
@@ -46,11 +47,28 @@ def _cubic():
      "eps must be positive"),
     (lambda: near_minimize(_cubic(), np.ones(4), 0.1, 1e-6), DimensionMismatchError,
      "data vector has length 4, operator expects 3"),
+    (lambda: SeparableMonotoneOperator(()), PreconditionError, "at least one coordinate map"),
+    (lambda: _cubic()(np.ones(2)), DimensionMismatchError,
+     "operator argument has length 2, expected 3"),
+    (lambda: SeparableMonotoneOperator((lambda x: np.array([x, x]),))([1.0]),
+     DimensionMismatchError, "operator returned shape (1, 2), expected (1,)"),
+    (lambda: nonlinear_discrepancy_result(_cubic(), np.ones(3), 0.0), PreconditionError,
+     "delta must be positive"),
+    (lambda: nonlinear_discrepancy_result(_cubic(), np.ones(4), 0.1), DimensionMismatchError,
+     "data vector has length 4, operator expects 3"),
+    (lambda: cubic_separable_problem(3, 1.0, [1.0, 2.0]), PreconditionError,
+     "reference solution has length 2, expected 3"),
+    (lambda: PowerLawSchedule().derivative(-1.0), PreconditionError, "t must be nonnegative"),
+    (lambda: PowerLawSchedule(b=0.01).invert(1e-300), NumericalError,
+     "schedule inverse overflows"),
 ], ids=["as_vector_2d", "as_vector_empty", "as_vector_nan", "data_length",
         "dense_operator_1d", "max_steps_0", "trajectory_points_1", "noise_delta_0",
         "noise_delta_nan", "profile_shapes", "profile_negative_lambda",
         "profile_zero_data_norm", "evolve_profile_length", "evolve_initial_state_length",
-        "near_minimize_eps_0", "near_minimize_data_length"])
+        "near_minimize_eps_0", "near_minimize_data_length", "separable_no_maps",
+        "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
+        "nonlinear_data_length", "cubic_reference_length", "schedule_derivative_negative_t",
+        "schedule_invert_overflow"])
 def test_refused_with_a_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
