@@ -386,3 +386,16 @@ class TestDiscrepancy:
         with pytest.raises(NumericalError, match="no root in scan range") as info:
             nonlinear_discrepancy_result(op, np.array([2.0]), 1e-2, 1.1)
         assert [t[0] for t in info.value.trace] == [1e-14]
+
+
+class TestMonotonicity:
+    def test_cubic_family(self):
+        op, _, _ = cubic_op(8)
+        # (A(u) - A(v), u - v) >= 0 over seeded random pairs, up to rounding
+        rng = np.random.default_rng(1)
+        worst = math.inf
+        for _ in range(1000):
+            u = rng.standard_normal(op.dimension)
+            v = rng.standard_normal(op.dimension)
+            worst = min(worst, float((op(u) - op(v)) @ (u - v)))
+        assert worst >= -1e-12
