@@ -52,6 +52,9 @@ class DiscrepancyProfile:
     squared norm of the remainder f - U_r g (the data outside the retained
     range), and ``data_norm_sq`` the squared data norm.
     Parseval: sum(betas) + null_mass == data_norm_sq up to rounding.
+    ``lambda_min``, ``lambda_max`` and ``beta_sum`` are the extreme lambdas
+    (0 for an empty profile) and sum(betas), reduced once here for every
+    root the profile is solved for.
     """
 
     lambdas: np.ndarray
@@ -59,6 +62,9 @@ class DiscrepancyProfile:
     null_mass: float
     data_norm_sq: float
     betas: np.ndarray = field(init=False)
+    lambda_min: float = field(init=False)
+    lambda_max: float = field(init=False)
+    beta_sum: float = field(init=False)
 
     def __post_init__(self):
         lam = _frozen(self.lambdas)
@@ -66,14 +72,22 @@ class DiscrepancyProfile:
         if lam.shape != g.shape or lam.ndim != 1:
             raise DimensionMismatchError(
                 f"lambdas {lam.shape} and coefficients {g.shape} must be matching 1-D arrays")
-        if (lam < 0).any():
+        # argmin and argmax find the first NaN if there is one, as a ufunc
+        # reduction would, in one C loop without the reduction's set-up
+        lam_min, lam_max = ((float(lam[lam.argmin()]), float(lam[lam.argmax()]))
+                            if lam.shape[0] else (0.0, 0.0))
+        if not lam_min >= 0.0:
             raise PreconditionError("squared singular values must be nonnegative")
         if self.null_mass < 0 or self.data_norm_sq <= 0:
             raise PreconditionError("null_mass must be >= 0 and data_norm_sq > 0")
+        betas = g * g
+        betas.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "coefficients", g)
-        object.__setattr__(self, "betas", g * g)
-        self.betas.setflags(write=False)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "lambda_min", lam_min)
+        object.__setattr__(self, "lambda_max", lam_max)
+        object.__setattr__(self, "beta_sum", float(np.add.reduce(betas)))
 
     @property
     def data_norm(self) -> float:
@@ -89,9 +103,9 @@ def build_profile(dec: SpectralDecomposition, f_delta) -> DiscrepancyProfile:
     """
     f = _data_vector(f_delta, dec.rows)
     U = dec.left_vectors
-    g = U.T @ f
+    g = U.T.dot(f)
     g.setflags(write=False)  # fresh, so the profile keeps it uncopied
-    remainder = f - U @ g
+    remainder = f - U.dot(g)
     return DiscrepancyProfile(lambdas=dec.lambdas, coefficients=g,
                               null_mass=float(remainder.dot(remainder)),
                               data_norm_sq=float(f.dot(f)))
@@ -127,12 +141,10 @@ def _phi_and_slope(p: DiscrepancyProfile, eps: float) -> tuple[float, float]:
     return p.null_mass + float(bq.dot(q)), 2.0 * float(bq.dot(d))
 
 
-def _root_bracket(p: DiscrepancyProfile, t2: float, mass: float,
-                  lam_min: float, lam_max: float) -> tuple[float, float]:
+def _root_bracket(p: DiscrepancyProfile, t2: float) -> tuple[float, float]:
     """Bounds x_lo <= ln eps <= x_hi on the root of discrepancy_value(p, eps)^2
     = t2, known before any evaluation; (_X_FLOOR, _X_CEIL) where none hold.
 
-    ``mass`` is sum(betas) and ``lam_min``, ``lam_max`` the extreme lambdas.
     A zero lambda has q_i = 1 at every eps, so its beta_i counts as null
     mass.  Over the other terms, whose betas sum to free, the betas' mean
     of q_i^2 at the root is rho^2 = (t2 - null) / free.  As each
@@ -141,7 +153,8 @@ def _root_bracket(p: DiscrepancyProfile, t2: float, mass: float,
     rho lambda_min / (1 - rho) <= eps <= rho lambda_max / (1 - rho).
     The ends are widened by _BRACKET_SLACK against rounding and clipped.
     """
-    null, free = p.null_mass, mass
+    null, free = p.null_mass, p.beta_sum
+    lam_min, lam_max = p.lambda_min, p.lambda_max
     if lam_min == 0.0 < lam_max:
         zero = p.lambdas == 0.0
         null += float(p.betas[zero].sum())
@@ -157,7 +170,7 @@ def _root_bracket(p: DiscrepancyProfile, t2: float, mass: float,
     return min(max(x_lo, _X_FLOOR), _X_CEIL), min(max(x_hi, _X_FLOOR), _X_CEIL)
 
 
-def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tuple[float, float]:
+def _certified_margins(p: DiscrepancyProfile, target: float) -> tuple[float, float]:
     """Points a < b such that discrepancy_value(p, eps) < target for every
     eps <= a and >= target for every eps >= b; (0, inf) if none are found.
 
@@ -190,19 +203,17 @@ def _certified_margins(p: DiscrepancyProfile, target: float, mass: float) -> tup
     d ln h / d ln eps is at most min(||f||^2 - h^2, h^2 - null_mass) / h^2
     at every eps, so a target this near either limit of h has a flat root.
     """
-    lam = p.lambdas
-    r = lam.shape[0]
+    r = p.lambdas.shape[0]
     kappa = 4.0 * (r + 7) * 2.0 ** -53
-    t2 = target * target
-    lam_min, lam_max = float(np.minimum.reduce(lam)), float(np.maximum.reduce(lam))
-    if not (t2 > 1e-290 * (mass + r) and mass + p.null_mass < 1e290 and lam_max < 1e300):
+    t2, mass = target * target, p.beta_sum
+    if not (t2 > 1e-290 * (mass + r) and mass + p.null_mass < 1e290 and p.lambda_max < 1e300):
         return 0.0, math.inf
     if min(p.data_norm_sq - t2, t2 - p.null_mass) < _FLAT_SLOPE * t2:
         return 0.0, math.inf
     lower, upper = target * (1.0 - kappa), target * (1.0 + kappa)
     a, b = 0.0, math.inf
     ln_target, converged = math.log(target), kappa / 4.0  # |gap| at the rounding level of h
-    x_lo, x_hi = _root_bracket(p, t2, mass, lam_min, lam_max)
+    x_lo, x_hi = _root_bracket(p, t2)
     x, root = (x_hi if x_hi < _X_CEIL else 0.0), None
     eps = math.exp(x)
     x_prev = s_prev = None  # where the Newton step that led to x started, and s there
@@ -278,8 +289,7 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
     if C < 1.0:
         raise PreconditionError(f"C must be at least 1, got {C}")
     target = C * delta
-    mass = float(p.betas.sum())
-    if mass <= 0.0:
+    if p.beta_sum <= 0.0:
         raise PreconditionError(
             "degenerate profile: data lies entirely in the null space of the adjoint")
     if target >= p.data_norm:
@@ -289,7 +299,7 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         raise PreconditionError(
             "data has null-space component exceeding C*delta; project f_delta or increase C")
 
-    a, b = _certified_margins(p, target, mass)
+    a, b = _certified_margins(p, target)
     iterations = 0
     lo, hi = _EPS_FLOOR, 1.0
     while hi <= a or (hi < b and discrepancy_value(p, hi) < target):
@@ -358,5 +368,5 @@ def stop_from_profile(p: DiscrepancyProfile, schedule: Schedule,
     if eps > schedule.eps0:
         raise PreconditionError(
             "stopping time negative; decrease c1 or start further back")
-    return StoppingResult(epsilon_star=float(eps), t_delta=float(schedule.invert(eps)),
-                          achieved_discrepancy=float(achieved), iterations=int(iters))
+    return StoppingResult(epsilon_star=eps, t_delta=float(schedule.invert(eps)),
+                          achieved_discrepancy=achieved, iterations=iters)

@@ -113,9 +113,6 @@ class Trajectory:
         object.__setattr__(self, "states", _frozen(self.states))
         object.__setattr__(self, "residual_norms", _frozen(self.residual_norms))
 
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class DSMResult:

@@ -103,7 +103,7 @@ def seeded_blur_trajectory(request):
 def test_trajectory_csv_matches_the_reference_writer(tmp_path, seeded_blur_trajectory,
                                                      include_state):
     traj, y = seeded_blur_trajectory
-    assert len(traj) == 512
+    assert traj.times.shape[0] == 512
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, include_state)
     _reference_trajectory_csv(tmp_path / "ref.csv", "abc", traj, y, include_state)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -269,7 +269,7 @@ class TestSolve:
     def test_trajectory_csv_rows(self, blur_solve):
         result, rows, direct = blur_solve
         body = rows[1:]
-        assert len(body) == len(direct.trajectory)
+        assert len(body) == direct.trajectory.times.shape[0]
         assert float(body[0][0]) == 0.0
         # full round-trip precision
         assert float(body[-1][1]) == result["residual"] == direct.residual

@@ -422,7 +422,7 @@ def test_margins_hold_near_underflow(seed, log_eps):
     p = DiscrepancyProfile(lambdas=np.sort(10.0 ** rng.uniform(0.0, 6.0, r))[::-1],
                            coefficients=g, null_mass=0.0, data_norm_sq=float(g @ g))
     target = discrepancy_value(p, 10.0 ** log_eps) * (1.0 + rng.uniform(-1e-3, 1e-3))
-    a, b = discrepancy._certified_margins(p, target, float(p.betas.sum()))
+    a, b = discrepancy._certified_margins(p, target)
     for eps in (a, np.nextafter(a, 0.0)) if a > 0.0 else ():
         assert discrepancy_value(p, eps) < target
     for eps in (b, np.nextafter(b, math.inf)) if b < math.inf else ():
@@ -436,8 +436,9 @@ def test_root_bracket_holds_the_root(case):
     # and at a lower end above _X_FLOOR below it, up to rounding
     p, delta, C = case
     target = C * delta
-    lo, hi = discrepancy._root_bracket(p, target * target, float(p.betas.sum()),
-                                       float(p.lambdas.min()), float(p.lambdas.max()))
+    assert (p.beta_sum, p.lambda_min, p.lambda_max) == (
+        float(p.betas.sum()), float(p.lambdas.min()), float(p.lambdas.max()))
+    lo, hi = discrepancy._root_bracket(p, target * target)
     kappa = 4.0 * (p.lambdas.size + 7) * 2.0 ** -53
     if hi < discrepancy._X_CEIL:
         assert discrepancy_value(p, math.exp(hi)) >= target * (1.0 - kappa)

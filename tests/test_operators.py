@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from illposed import (DenseOperator, DimensionMismatchError, NoiseSpec,
                       PreconditionError, add_noise, build_profile, decompose,
-                      gaussian_blur_problem, normalize, project_range_closure,
-                      rank_deficient_problem, regularized_normal_solve,
-                      regularized_normal_solve_direct, solve_for_epsilon)
+                      default_schedule, gaussian_blur_problem, normalize,
+                      project_range_closure, rank_deficient_problem,
+                      regularized_normal_solve, regularized_normal_solve_direct,
+                      solve_for_epsilon, stop_from_profile)
 from illposed.operators import DEFAULT_RANK_TOLERANCE
 
 
@@ -233,3 +236,39 @@ class TestProjection:
         twice = project_range_closure(dec, once)
         assert np.max(np.abs(twice - once)) <= 1e-14
         assert float((once - twice) @ (once - twice)) <= 1e-28
+
+
+def _reference_noise(f, U, delta, seed):
+    """``add_noise`` on a blur problem, written with ``@`` products."""
+    for attempt in range(9):
+        e = np.random.default_rng(seed + attempt).standard_normal(f.shape[0])
+        e = U @ (U.T @ e)
+        norm_e = math.sqrt(e @ e)
+        if norm_e > 1e-8:
+            return f + (delta / norm_e) * e
+    raise AssertionError("no draw kept")
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_request_path_has_the_bits_of_the_matmul_expressions(n, delta):
+    # the library takes these products with ndarray.dot; the references
+    # take them with @, and every result must agree bit for bit
+    prob = gaussian_blur_problem(n, 0.05)
+    dec = prob.decomposition
+    s, U, V, lam = dec.singular_values, dec.left_vectors, dec.right_vectors, dec.lambdas
+    f_exact, schedule = prob.f_exact, default_schedule()
+    for seed in range(50):
+        f = add_noise(f_exact, dec, NoiseSpec(delta, seed))
+        assert f.tobytes() == _reference_noise(f_exact, U, delta, seed).tobytes()
+        e = np.random.default_rng(seed).standard_normal(n)
+        assert project_range_closure(dec, e).tobytes() == (U @ (U.T @ e)).tobytes()
+        p = build_profile(dec, f)
+        g = U.T @ f
+        remainder = f - U @ g
+        assert p.coefficients.tobytes() == g.tobytes()
+        assert p.null_mass == float(remainder @ remainder)
+        assert p.data_norm_sq == float(f @ f)
+        eps = stop_from_profile(p, schedule, delta).epsilon_star
+        expected = V @ (s * (U.T @ f) / np.add(lam, eps))
+        assert regularized_normal_solve(dec, eps, f).tobytes() == expected.tobytes()

@@ -5,9 +5,10 @@ import pytest
 
 from illposed import (ConfigError, DSMConfig, DenseOperator, DimensionMismatchError,
                       DiscrepancyProfile, NoiseSpec, NumericalError, PowerLawSchedule,
-                      PreconditionError, SeparableMonotoneOperator, as_vector,
+                      PreconditionError, SeparableMonotoneOperator, add_noise, as_vector,
                       build_profile, cubic_separable_problem, decompose, default_schedule,
-                      evolve, near_minimize, nonlinear_discrepancy_result)
+                      evolve, near_minimize, nonlinear_discrepancy_result,
+                      project_range_closure, regularized_normal_solve, solve_for_epsilon)
 
 
 def _dec(n):
@@ -37,6 +38,10 @@ def _cubic():
     (lambda: NoiseSpec(float("nan"), 1), PreconditionError, "delta must be positive"),
     (lambda: _profile(coefficients=np.ones(3)), DimensionMismatchError, "matching 1-D"),
     (lambda: _profile(lambdas=np.array([1.0, -1.0])), PreconditionError, "nonnegative"),
+    (lambda: _profile(lambdas=np.array([1.0, np.nan])), PreconditionError, "nonnegative"),
+    (lambda: solve_for_epsilon(_profile(lambdas=np.ones(0), coefficients=np.ones(0),
+                                        null_mass=1.0), 0.5),
+     PreconditionError, "degenerate profile"),
     (lambda: _profile(data_norm_sq=0.0), PreconditionError, "data_norm_sq > 0"),
     (lambda: evolve(_dec(3), default_schedule(), build_profile(_dec(4), np.ones(4)), 1.0),
      DimensionMismatchError, "profile has 4 coefficients"),
@@ -63,7 +68,8 @@ def _cubic():
      "schedule inverse overflows"),
 ], ids=["as_vector_2d", "as_vector_empty", "as_vector_nan", "data_length",
         "dense_operator_1d", "max_steps_0", "trajectory_points_1", "noise_delta_0",
-        "noise_delta_nan", "profile_shapes", "profile_negative_lambda",
+        "noise_delta_nan", "profile_shapes", "profile_negative_lambda", "profile_nan_lambda",
+        "profile_empty",
         "profile_zero_data_norm", "evolve_profile_length", "evolve_initial_state_length",
         "near_minimize_eps_0", "near_minimize_data_length", "separable_no_maps",
         "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
@@ -74,3 +80,44 @@ def test_refused_with_a_typed_error(call, error, message):
         call()
     assert type(info.value) is error
     assert message in str(info.value)
+
+
+_DATA_ENTRY_POINTS = {
+    "as_vector": as_vector,
+    "build_profile": lambda v: build_profile(_dec(3), v),
+    "project_range_closure": lambda v: project_range_closure(_dec(3), v),
+    "regularized_normal_solve": lambda v: regularized_normal_solve(_dec(3), 0.1, v),
+    "add_noise": lambda v: add_noise(v, None, NoiseSpec(0.1, 0)),
+}
+
+
+def _with(value, index):
+    v = np.ones(3)
+    v[index] = value
+    return v
+
+
+@pytest.mark.parametrize("entry", list(_DATA_ENTRY_POINTS))
+@pytest.mark.parametrize("data, message", [
+    *[(_with(value, index), "non-finite") for value in (np.nan, np.inf, -np.inf)
+      for index in (0, -1)],
+    (np.array([1.0 + 2.0j, 1.0, 1.0]), "must be real numbers"),
+    ([1.0 + 2.0j, 3.0, 1.0], "must be real numbers"),
+    (["1.5", "2", "1"], "must be real numbers"),
+    (np.array([1.0, 2.0, 3.0], dtype=object), "must be real numbers"),
+], ids=["nan_first", "nan_last", "inf_first", "inf_last", "neginf_first", "neginf_last",
+        "complex_array", "complex_list", "strings", "object"])
+def test_data_vectors_are_finite_real_numbers(entry, data, message):
+    with pytest.raises(PreconditionError) as info:
+        _DATA_ENTRY_POINTS[entry](data)
+    assert type(info.value) is PreconditionError
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("data", [[True, False], np.arange(3, dtype=np.int32),
+                                  np.arange(3, dtype=np.uint8), np.ones(3, dtype=np.float32),
+                                  np.ones(3, dtype=">f8")])
+def test_boolean_integer_and_other_float_vectors_are_converted(data):
+    v = as_vector(data)
+    assert v.dtype == float and v.dtype.isnative
+    assert np.array_equal(v, np.asarray(data, dtype=float))
