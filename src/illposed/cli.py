@@ -35,6 +35,7 @@ import numpy as np
 from .dsm import DSMConfig, run_dsm
 from .errors import ConfigError, IllposedError, PreconditionError
 from .nonlinear import nonlinear_discrepancy_result
+from .operators import _positive
 from .problems import (NoiseSpec, TestProblem, add_noise, cubic_separable_problem,
                        gaussian_blur_problem, hilbert_problem, identity_problem,
                        rank_deficient_problem)
@@ -169,14 +170,13 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{key!r} must be a non-negative integer, got {value}")
     if not (cfg.C >= 1.0 and math.isfinite(cfg.C)):
         raise ConfigError(f"C must be finite and at least 1, got {cfg.C}")
-    if cfg.delta is not None and not (cfg.delta > 0 and math.isfinite(cfg.delta)):
-        raise ConfigError(f"delta must be positive and finite, got {cfg.delta}")
+    if cfg.delta is not None:
+        _positive(cfg.delta, "delta", ConfigError)
     seq = cfg.delta_sequence
-    if seq:
-        if not all(d > 0 and math.isfinite(d) for d in seq):
-            raise ConfigError("delta_sequence entries must be positive and finite")
-        if any(b >= a for a, b in zip(seq[:-1], seq[1:])):
-            raise ConfigError("delta_sequence must be strictly decreasing")
+    for d in seq:
+        _positive(d, "delta_sequence entry", ConfigError)
+    if any(b >= a for a, b in zip(seq[:-1], seq[1:])):
+        raise ConfigError("delta_sequence must be strictly decreasing")
     if cfg.integrator != "exponential_quadrature":
         raise ConfigError(f"unknown integrator {cfg.integrator!r}: the only one is "
                           f"\"exponential_quadrature\" (Runge-Kutta is a test oracle only)")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, PreconditionError
-from .operators import SpectralDecomposition, _data_vector, _frozen
+from .operators import SpectralDecomposition, _frozen, _positive, _sized
 from .schedule import Schedule
 
 _BRACKET_RTOL = 1e-13
@@ -52,6 +52,7 @@ class DiscrepancyProfile:
     squared norm of the remainder f - U_r g (the data outside the retained
     range), and ``data_norm_sq`` the squared data norm.
     Parseval: sum(betas) + null_mass == data_norm_sq up to rounding.
+    ``null_mass``, ``data_norm_sq`` and sum(betas) must be finite.
     ``lambda_min``, ``lambda_max`` and ``beta_sum`` are the extreme lambdas
     (0 for an empty profile) and sum(betas), reduced once here for every
     root the profile is solved for.
@@ -78,16 +79,20 @@ class DiscrepancyProfile:
                             if lam.shape[0] else (0.0, 0.0))
         if not lam_min >= 0.0:
             raise PreconditionError("squared singular values must be nonnegative")
-        if self.null_mass < 0 or self.data_norm_sq <= 0:
-            raise PreconditionError("null_mass must be >= 0 and data_norm_sq > 0")
+        # before g * g, which overflows only where data_norm_sq already has
+        if not (0.0 <= self.null_mass < math.inf and 0.0 < self.data_norm_sq < math.inf):
+            raise PreconditionError("null_mass must be >= 0 and data_norm_sq > 0, both finite")
         betas = g * g
         betas.setflags(write=False)
+        beta_sum = float(np.add.reduce(betas))
+        if not beta_sum < math.inf:
+            raise PreconditionError(f"squared coefficients must have a finite sum, got {beta_sum}")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "coefficients", g)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "lambda_min", lam_min)
         object.__setattr__(self, "lambda_max", lam_max)
-        object.__setattr__(self, "beta_sum", float(np.add.reduce(betas)))
+        object.__setattr__(self, "beta_sum", beta_sum)
 
     @property
     def data_norm(self) -> float:
@@ -100,15 +105,17 @@ def build_profile(dec: SpectralDecomposition, f_delta) -> DiscrepancyProfile:
     The null mass is the squared norm of the explicit remainder, not
     ||f||^2 - sum(betas): that difference is cancellation noise of about
     1e-14 ||f||^2, which biases the root once (C delta)^2 falls near it.
+    ``np.vdot`` gives the squared norms the bits of ``ndarray.dot``, and an
+    overflow as inf without a warning, which the profile refuses.
     """
-    f = _data_vector(f_delta, dec.rows)
+    f = _sized(f_delta, dec.rows)
     U = dec.left_vectors
     g = U.T.dot(f)
     g.setflags(write=False)  # fresh, so the profile keeps it uncopied
     remainder = f - U.dot(g)
     return DiscrepancyProfile(lambdas=dec.lambdas, coefficients=g,
-                              null_mass=float(remainder.dot(remainder)),
-                              data_norm_sq=float(f.dot(f)))
+                              null_mass=float(np.vdot(remainder, remainder)),
+                              data_norm_sq=float(np.vdot(f, f)))
 
 
 def discrepancy_value(p: DiscrepancyProfile, eps: float) -> float:
@@ -118,8 +125,7 @@ def discrepancy_value(p: DiscrepancyProfile, eps: float) -> float:
     strictly increasing in eps, with limits sqrt(null_mass) at 0+ and
     the data norm at infinity.
     """
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
+    _positive(eps, "eps")
     ratio = np.divide(eps, np.add(p.lambdas, eps))
     np.multiply(ratio, ratio, out=ratio)
     return math.sqrt(p.null_mass + float(p.betas.dot(ratio)))
@@ -282,14 +288,14 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
     When the returned end is a midpoint the bisection evaluated, that
     evaluation is the achieved residual; otherwise it is evaluated there.
     A residual more than _ROOT_RTOL ||f|| off the target at the returned
-    end, as for a root below _EPS_FLOOR, raises ``NumericalError``.
+    end, as for a root below _EPS_FLOOR, raises ``NumericalError``.  With
+    no data mass or every lambda 0 (underflowed), no eps is a root.
     """
-    if delta <= 0 or not math.isfinite(delta):
-        raise PreconditionError(f"delta must be positive, got {delta}")
-    if C < 1.0:
-        raise PreconditionError(f"C must be at least 1, got {C}")
+    _positive(delta, "delta")
+    if not 1.0 <= C < math.inf:
+        raise PreconditionError(f"C must be at least 1 and finite, got {C}")
     target = C * delta
-    if p.beta_sum <= 0.0:
+    if p.beta_sum <= 0.0 or p.lambda_max == 0.0:
         raise PreconditionError(
             "degenerate profile: data lies entirely in the null space of the adjoint")
     if target >= p.data_norm:

@@ -37,7 +37,7 @@ from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
                           stop_from_profile)
 from .errors import (ConfigError, DimensionMismatchError, IllposedError,
                      NumericalError, PreconditionError)
-from .operators import (SpectralDecomposition, _frozen, as_vector,
+from .operators import (SpectralDecomposition, _frozen, _positive, _sized, as_vector,
                         project_range_closure, regularized_normal_solve)
 from .schedule import Schedule
 
@@ -86,12 +86,9 @@ class DSMConfig:
 
     def __post_init__(self):
         # a NaN or infinite tolerance would pass or fail every estimate silently
-        if not all(tol > 0 and math.isfinite(tol)
-                   for tol in (self.relative_tolerance, self.absolute_tolerance)):
-            raise ConfigError(
-                f"relative_tolerance and absolute_tolerance must be positive and finite, "
-                f"got {self.relative_tolerance} and {self.absolute_tolerance}")
-        if self.max_steps <= 0:
+        _positive(self.relative_tolerance, "relative_tolerance", ConfigError)
+        _positive(self.absolute_tolerance, "absolute_tolerance", ConfigError)
+        if not 0 < self.max_steps < math.inf:  # NaN would lift the cap silently
             raise ConfigError("max_steps must be positive")
         if self.trajectory_points < 2:
             raise ConfigError("trajectory_points must be at least 2")
@@ -154,8 +151,7 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
         raise DimensionMismatchError(
             f"profile has {profile.coefficients.shape[0]} coefficients, "
             f"operator has numerical rank {dec.numerical_rank}")
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise PreconditionError(f"t_end must be positive and finite, got {t_end}")
+    _positive(t_end, "t_end")
     u0 = _initial_state(dec, cfg)
     sg = dec.singular_values * profile.coefficients
     times = _report_grid(t_end, cfg.trajectory_points)
@@ -172,11 +168,7 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
 def _initial_state(dec: SpectralDecomposition, cfg: DSMConfig) -> np.ndarray:
     if cfg.initial_state is None:
         return np.zeros(dec.cols)
-    u0 = np.asarray(cfg.initial_state)
-    if u0.shape[0] != dec.cols:
-        raise DimensionMismatchError(
-            f"initial state has length {u0.shape[0]}, operator has {dec.cols} columns")
-    return u0
+    return _sized(cfg.initial_state, dec.cols, "initial state")
 
 
 def _report_grid(t_end: float, points: int) -> np.ndarray:
@@ -381,7 +373,8 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     content).
     """
     cfg = cfg or DSMConfig()
-    f = as_vector(f_delta, "data vector")
+    f = _sized(f_delta, dec.rows)
+    y = None if y_reference is None else _sized(y_reference, dec.cols, "reference solution")
 
     with _stage("projection"):
         f_used, projected_null = f, 0.0
@@ -410,8 +403,7 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     w_final = regularized_normal_solve(dec, stopping.epsilon_star, f_used)
 
     error = tikh_error = None
-    if y_reference is not None:
-        y = as_vector(y_reference, "reference solution")
+    if y is not None:
         error = float(np.linalg.norm(u_final - y))
         tikh_error = float(np.linalg.norm(w_final - y))
 

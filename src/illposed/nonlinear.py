@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, PreconditionError
-from .operators import _frozen, as_vector
+from .operators import _frozen, _positive, _sized
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCALAR_MAX_ITER = 600
@@ -59,10 +59,7 @@ class SeparableMonotoneOperator:
         self.dimension = len(self.phis)
 
     def __call__(self, u) -> np.ndarray:
-        v = as_vector(u, "operator argument")
-        if v.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"operator argument has length {v.shape[0]}, expected {self.dimension}")
+        v = _sized(u, self.dimension, "operator argument")
         out = np.array([phi(x) for phi, x in zip(self.phis, v)], dtype=float)
         if out.shape != (self.dimension,):
             raise DimensionMismatchError(
@@ -167,14 +164,9 @@ def near_minimize(op: SeparableMonotoneOperator, f_delta, eps: float,
     the budget.
     """
     _require_separable(op)
-    if gap_budget <= 0:
-        raise PreconditionError(f"gap_budget must be positive, got {gap_budget}")
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    f = as_vector(f_delta, "data vector")
-    if f.shape[0] != op.dimension:
-        raise DimensionMismatchError(
-            f"data vector has length {f.shape[0]}, operator expects {op.dimension}")
+    _positive(gap_budget, "gap_budget")
+    _positive(eps, "eps")
+    f = _sized(f_delta, op.dimension)
     a0 = op(np.zeros(op.dimension))
     radius = _search_radius(float(np.linalg.norm(f) + np.linalg.norm(a0)), eps)
     per_coord = gap_budget / op.dimension
@@ -230,14 +222,10 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
     The operator must be separable (see :func:`near_minimize`).
     """
     _require_separable(op)
-    if not C > 1.0:
-        raise PreconditionError(f"C must exceed 1 for the nonlinear principle, got {C}")
-    if delta <= 0:
-        raise PreconditionError(f"delta must be positive, got {delta}")
-    f = as_vector(f_delta, "data vector")
-    if f.shape[0] != op.dimension:
-        raise DimensionMismatchError(
-            f"data vector has length {f.shape[0]}, operator expects {op.dimension}")
+    if not 1.0 < C < math.inf:
+        raise PreconditionError(f"the nonlinear principle needs 1 < C < inf, got {C}")
+    _positive(delta, "delta")
+    f = _sized(f_delta, op.dimension)
     target = C * delta
     residual_zero = float(np.linalg.norm(op(np.zeros(op.dimension)) - f))
     if residual_zero <= target:

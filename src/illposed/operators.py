@@ -13,6 +13,7 @@ same bits, and less dispatch around it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,13 +47,18 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _data_vector(f, rows: int) -> np.ndarray:
-    """``f`` as a finite data vector, checked against an operator's ``rows``."""
-    v = as_vector(f, "data vector")
-    if v.shape[0] != rows:
-        raise DimensionMismatchError(
-            f"data vector has length {v.shape[0]}, operator has {rows} rows")
+def _sized(x, n: int, name: str = "data vector") -> np.ndarray:
+    """``x`` as a finite vector (``as_vector``) of length ``n``."""
+    v = as_vector(x, name)
+    if v.shape[0] != n:
+        raise DimensionMismatchError(f"{name} has length {v.shape[0]}, expected {n}")
     return v
+
+
+def _positive(value, name: str, error=PreconditionError) -> None:
+    """Refuse ``value`` with ``error`` unless it is positive and finite (not NaN)."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive, got {value}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -128,16 +134,12 @@ class SpectralDecomposition:
         return self.right_vectors.shape[0]
 
 
-def normalize(A: DenseOperator) -> tuple[DenseOperator, float]:
-    """Rescale ``A`` so its largest singular value is 1.
-
-    Returns the rescaled operator and the scale factor.  Callers must
-    rescale right-hand-side data consistently (f -> f / scale).
-    """
+def normalize(A: DenseOperator) -> DenseOperator:
+    """``A`` divided by its largest singular value, so that value is 1."""
     scale = float(np.linalg.svd(A.entries, compute_uv=False)[0])
     if scale == 0.0:
         raise PreconditionError("zero operator cannot be normalized")
-    return DenseOperator(A.entries / scale), scale
+    return DenseOperator(A.entries / scale)
 
 
 def decompose(A: DenseOperator) -> SpectralDecomposition:
@@ -158,9 +160,8 @@ def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.nd
     from the full solve only by the modes below the rank cutoff, whose
     terms are at most s_i / eps times the data's component on u_i.
     """
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    v = _data_vector(f, dec.rows)
+    _positive(eps, "eps")
+    v = _sized(f, dec.rows)
     coef = dec.singular_values * dec.left_vectors.T.dot(v)
     return dec.right_vectors.dot(coef / np.add(dec.lambdas, eps))
 
@@ -175,9 +176,8 @@ def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarr
     of A^T A + eps I, about 1/eps for a normalized A, magnifies: their
     relative gap grows like 1e-16 / eps (2.7e-9 at eps = 1.1e-7, blur n = 256).
     """
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    v = _data_vector(f, A.rows)
+    _positive(eps, "eps")
+    v = _sized(f, A.rows)
     L = np.linalg.cholesky(A.entries.T @ A.entries + eps * np.eye(A.cols))
     return np.linalg.solve(L.T, np.linalg.solve(L, A.entries.T @ v))
 
@@ -189,4 +189,4 @@ def project_range_closure(dec: SpectralDecomposition, f) -> np.ndarray:
     null space of A^T; callers that judge it form it themselves.
     """
     U = dec.left_vectors
-    return U.dot(U.T.dot(_data_vector(f, dec.rows)))
+    return U.dot(U.T.dot(_sized(f, dec.rows)))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .nonlinear import SeparableMonotoneOperator
-from .operators import (DenseOperator, SpectralDecomposition, _frozen, as_vector,
-                        decompose, normalize, project_range_closure)
+from .operators import (DenseOperator, SpectralDecomposition, _frozen, _positive, _sized,
+                        as_vector, decompose, normalize, project_range_closure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,15 +46,21 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise PreconditionError(f"delta must be positive, got {self.delta}")
-        if self.seed < 0:
-            raise PreconditionError(f"seed must be non-negative, got {self.seed}")
+        _positive(self.delta, "delta")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer; numpy integers count, bools not."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
 
 
 def _finish_linear(entries: np.ndarray, y_raw: np.ndarray, label: str) -> TestProblem:
     """Normalize, project the reference onto the numerical co-kernel, form data."""
-    A, _ = normalize(DenseOperator(entries))
+    A = normalize(DenseOperator(entries))
     dec = decompose(A)
     V = dec.right_vectors
     y = V @ (V.T @ y_raw)
@@ -106,8 +112,7 @@ def rank_deficient_problem(n: int, r: int, seed: int) -> TestProblem:
     """
     if not 1 <= r < n <= 256:
         raise PreconditionError(f"rank r must satisfy 1 <= r < n <= 256, got r={r}, n={n}")
-    if seed < 0:
-        raise PreconditionError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     U = _orthonormal(rng.standard_normal((n, n)))
     V = _orthonormal(rng.standard_normal((n, n)))
@@ -143,10 +148,7 @@ def cubic_separable_problem(n: int, coefficients, y) -> tuple[SeparableMonotoneO
     a = np.broadcast_to(a, (n,)).copy()
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise PreconditionError("cubic coefficients must be positive and finite")
-    yv = as_vector(y, "reference solution")
-    if yv.shape[0] != n:
-        raise PreconditionError(
-            f"reference solution has length {yv.shape[0]}, expected {n}")
+    yv = _sized(y, n, "reference solution")
     phis = tuple((lambda x, ai=ai: ai * x + x ** 3) for ai in a)
     op = SeparableMonotoneOperator(phis)
     return op, op(yv)

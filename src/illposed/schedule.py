@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
+from .operators import _positive
 
 
 class Schedule(abc.ABC):
@@ -73,10 +74,8 @@ class PowerLawSchedule(Schedule):
     b: float = 0.5
 
     def __post_init__(self):
-        if not (self.c0 > 0 and math.isfinite(self.c0)):
-            raise ConfigError(f"c0 must be positive, got {self.c0}")
-        if not (self.c1 > 0 and math.isfinite(self.c1)):
-            raise ConfigError(f"c1 must be positive, got {self.c1}")
+        _positive(self.c0, "c0", ConfigError)
+        _positive(self.c1, "c1", ConfigError)
         if not (0.0 < self.b < 1.0):
             raise ConfigError(f"b must lie in (0,1), got {self.b}")
 
@@ -95,8 +94,7 @@ class PowerLawSchedule(Schedule):
         return float(out) if out.ndim == 0 else out
 
     def invert(self, g: float) -> float:
-        if not (g > 0 and math.isfinite(g)):
-            raise PreconditionError(f"schedule value must be positive, got {g}")
+        _positive(g, "schedule value")
         if g > self.eps0:
             raise PreconditionError(
                 f"schedule value {g} exceeds eps(0) = {self.eps0}; the root would be negative")

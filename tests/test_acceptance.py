@@ -33,6 +33,7 @@ GRID = np.geomspace(1e-14, 1e8, 1_000_000)
 
 
 def grid_scan_root(profile, target):
+    """Brute-force root: geometric grid scan plus local bisection refinement."""
     h2 = np.full(GRID.shape, profile.null_mass)
     for lam, beta in zip(profile.lambdas, profile.betas):
         r = GRID / (GRID + lam)
@@ -55,7 +56,7 @@ def random_problem(rng, trial):
     if trial % 2 == 0:
         A = DenseOperator(np.diag(rng.uniform(0.05, 1.0, n)))
     else:
-        A, _ = normalize(DenseOperator(rng.standard_normal((n, n))))
+        A = normalize(DenseOperator(rng.standard_normal((n, n))))
     return A, rng.standard_normal(n)
 
 
@@ -178,9 +179,6 @@ class _Frozen(Schedule):
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, self.value)
         return self.value if out.ndim == 0 else out
-
-    def derivative(self, t):
-        return 0.0 * np.asarray(t, dtype=float)
 
     def invert(self, g):
         raise NotImplementedError

@@ -15,26 +15,7 @@ from illposed import (DenseOperator, NoiseSpec, PowerLawSchedule, PreconditionEr
 from illposed.discrepancy import (_BRACKET_RTOL, _EPS_FLOOR, DiscrepancyProfile,
                                   _epsilon_root)
 from illposed.errors import NumericalError
-
-
-def grid_scan_root(profile, target, lo=1e-14, hi=1e8, points=1_000_000):
-    """Brute-force root: geometric grid scan plus local bisection refinement."""
-    grid = np.geomspace(lo, hi, points)
-    h2 = np.full(points, profile.null_mass)
-    for lam, beta in zip(profile.lambdas, profile.betas):
-        r = grid / (grid + lam)
-        h2 += beta * r * r
-    idx = int(np.searchsorted(np.sqrt(h2), target))
-    a, b = grid[max(idx - 1, 0)], grid[min(idx, points - 1)]
-    for _ in range(200):
-        mid = np.sqrt(a * b)
-        if discrepancy_value(profile, mid) < target:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-13 * b:
-            break
-    return b
+from test_acceptance import grid_scan_root
 
 
 @pytest.fixture
@@ -244,10 +225,10 @@ def _bisection_reference(p, delta, C):
     """The plain log-bisection root, evaluating the profile at every step."""
     if delta <= 0 or not math.isfinite(delta):
         raise PreconditionError(f"delta must be positive, got {delta}")
-    if C < 1.0:
-        raise PreconditionError(f"C must be at least 1, got {C}")
+    if C < 1.0 or not math.isfinite(C):
+        raise PreconditionError(f"C must be at least 1 and finite, got {C}")
     target = C * delta
-    if float(p.betas.sum()) <= 0.0:
+    if float(p.betas.sum()) <= 0.0 or not p.lambdas.max() > 0.0:
         raise PreconditionError(
             "degenerate profile: data lies entirely in the null space of the adjoint")
     if target >= p.data_norm:
@@ -390,7 +371,7 @@ class TestRootMatchesBisection:
         assert _assert_same_root(p, 0.01, 1.0)[0] is NumericalError
 
     @pytest.mark.parametrize("lambdas, g", [
-        ([0.0, 0.0], [1.0, 0.5]),  # h is flat, above the target: the root is missed
+        ([0.0, 0.0], [1.0, 0.5]),  # h is flat, with no root: refused as degenerate
         ([1.0, 1e-3, 0.0], [1.0, 0.5, 0.2]),
         ([1e-3, 1.0, 1e-6, 0.1], [0.3, 1.0, 0.4, 0.5]),
     ], ids=["all_zero", "one_zero", "unsorted"])

@@ -569,7 +569,7 @@ class TestEvolveErrors:
     def test_tolerances_must_be_positive_and_finite(self, field, value):
         # a NaN or infinite tolerance passed every split test silently: on a
         # jump where 1e-8 hits the depth cap, it returned a state 4.7e-4 off
-        with pytest.raises(ConfigError, match="absolute_tolerance must be positive and finite"):
+        with pytest.raises(ConfigError, match=f"^{field} must be positive, got {value}$"):
             DSMConfig(**{field: value})
 
     def test_nonpositive_horizon(self, gauss32):

@@ -32,17 +32,15 @@ class TestStorage:
 
 class TestNormalize:
     def test_diagonal(self):
-        A, scale = normalize(DenseOperator(np.diag([2.0, 1.0])))
-        assert scale == 2.0
+        A = normalize(DenseOperator(np.diag([2.0, 1.0])))
         assert np.allclose(A.entries, np.diag([1.0, 0.5]))
 
     def test_identity(self):
-        A, scale = normalize(DenseOperator(np.eye(3)))
-        assert scale == 1.0
+        A = normalize(DenseOperator(np.eye(3)))
         assert np.array_equal(A.entries, np.eye(3))
 
     def test_unit_norm_after(self, rng):
-        A, _ = normalize(DenseOperator(rng.standard_normal((8, 8))))
+        A = normalize(DenseOperator(rng.standard_normal((8, 8))))
         top = np.linalg.svd(A.entries, compute_uv=False)[0]
         assert abs(top - 1.0) <= 1e-12
 

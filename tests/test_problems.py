@@ -116,6 +116,13 @@ class TestRankDeficient:
         with pytest.raises(PreconditionError, match="seed must be non-negative"):
             rank_deficient_problem(12, 6, -1)
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5), np.int32(5)])
+    def test_numpy_integer_seed_is_the_int_seed(self, seed):
+        a, b = rank_deficient_problem(12, 6, seed), rank_deficient_problem(12, 6, 5)
+        assert np.array_equal(a.operator.entries, b.operator.entries)
+        assert np.array_equal(a.y_reference, b.y_reference)
+        assert a.label == b.label
+
 
 class TestIdentity:
     def test_unit_data(self):
@@ -205,6 +212,12 @@ class TestNoise:
     def test_negative_seed_rejected(self):
         with pytest.raises(PreconditionError, match="seed must be non-negative"):
             NoiseSpec(1e-2, -1)
+
+    @pytest.mark.parametrize("seed", [np.int64(1234), np.uint16(1234), np.int32(1234)])
+    def test_numpy_integer_seed_is_the_int_seed(self, gauss32, seed):
+        prob, dec = gauss32
+        assert np.array_equal(add_noise(prob.f_exact, dec, NoiseSpec(1e-2, seed)),
+                              add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 1234)))
 
     @pytest.mark.parametrize("in_range_closure", [True, False])
     @pytest.mark.parametrize("make", [

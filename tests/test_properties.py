@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from illposed import (DenseOperator, NoiseSpec, NumericalError, PowerLawSchedule,
-                      add_noise, build_profile, decompose, discrepancy_value,
-                      regularized_normal_solve, solve_for_epsilon)
+                      PreconditionError, add_noise, build_profile, decompose,
+                      discrepancy_value, regularized_normal_solve, solve_for_epsilon)
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -63,6 +63,7 @@ def test_profile_parseval(M, seed):
 @given(small_matrices(max_dim=5), st.integers(0, 2 ** 31 - 1),
        st.floats(0.05, 0.45))
 # the squared singular values underflow to 0, so the residual is ||f|| at every eps
+# and there is no root: the profile is refused as degenerate before any evaluation
 @example(np.array([[0.0, 4.12339242e-172], [4.12339242e-172, 0.0]]), 0, 0.25)
 def test_root_hits_target_and_is_monotone_in_delta(M, seed, frac):
     dec = decompose(DenseOperator(M))
@@ -72,6 +73,10 @@ def test_root_hits_target_and_is_monotone_in_delta(M, seed, frac):
     if p.betas.sum() <= 1e-12 or p.null_mass > 1e-16 * p.data_norm_sq:
         return
     delta = frac * p.data_norm
+    if p.lambda_max == 0.0:
+        with pytest.raises(PreconditionError, match="degenerate profile"):
+            solve_for_epsilon(p, delta, 1.0)
+        return
     floor_residual = discrepancy_value(p, 1e-300)  # at the root search's lowest eps
     for target in (delta, delta / 2.0):
         if floor_residual > target:  # the root lies below 1e-300

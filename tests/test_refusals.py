@@ -7,8 +7,11 @@ from illposed import (ConfigError, DSMConfig, DenseOperator, DimensionMismatchEr
                       DiscrepancyProfile, NoiseSpec, NumericalError, PowerLawSchedule,
                       PreconditionError, SeparableMonotoneOperator, add_noise, as_vector,
                       build_profile, cubic_separable_problem, decompose, default_schedule,
-                      evolve, near_minimize, nonlinear_discrepancy_result,
-                      project_range_closure, regularized_normal_solve, solve_for_epsilon)
+                      discrepancy_value, evolve, gaussian_blur_problem, near_minimize,
+                      nonlinear_discrepancy_result, project_range_closure,
+                      rank_deficient_problem, regularized_normal_solve,
+                      regularized_normal_solve_direct, run_dsm, solve_for_epsilon,
+                      stop_from_profile)
 
 
 def _dec(n):
@@ -25,12 +28,18 @@ def _cubic():
     return cubic_separable_problem(3, 1.0, [1.0, -1.0, 0.5])[0]
 
 
+def _overflowing_profile():
+    # blur n = 64 data whose squared norm overflows to inf
+    prob = gaussian_blur_problem(64, 0.05)
+    return build_profile(prob.decomposition, prob.f_exact * 1e160)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: as_vector(np.ones((2, 2))), DimensionMismatchError, "one-dimensional"),
     (lambda: as_vector([]), DimensionMismatchError, "nonempty"),
     (lambda: as_vector([1.0, np.nan]), PreconditionError, "non-finite"),
     (lambda: build_profile(_dec(3), np.ones(4)), DimensionMismatchError,
-     "data vector has length 4, operator has 3 rows"),
+     "data vector has length 4, expected 3"),
     (lambda: DenseOperator(np.ones(3)), DimensionMismatchError, "nonempty matrix"),
     (lambda: DSMConfig(max_steps=0), ConfigError, "max_steps must be positive"),
     (lambda: DSMConfig(trajectory_points=1), ConfigError, "at least 2"),
@@ -43,15 +52,25 @@ def _cubic():
                                         null_mass=1.0), 0.5),
      PreconditionError, "degenerate profile"),
     (lambda: _profile(data_norm_sq=0.0), PreconditionError, "data_norm_sq > 0"),
+    (lambda: _profile(null_mass=np.nan), PreconditionError, "both finite"),
+    (lambda: _profile(data_norm_sq=np.inf), PreconditionError, "both finite"),
+    (lambda: _profile(coefficients=np.array([1.0, np.nan])), PreconditionError,
+     "squared coefficients must have a finite sum, got nan"),
+    # refused before the coefficients' squares overflow too, with no warning
+    (_overflowing_profile, PreconditionError, "both finite"),
+    (lambda: solve_for_epsilon(_profile(lambdas=np.zeros(2)), 0.5), PreconditionError,
+     "degenerate profile"),
     (lambda: evolve(_dec(3), default_schedule(), build_profile(_dec(4), np.ones(4)), 1.0),
      DimensionMismatchError, "profile has 4 coefficients"),
     (lambda: evolve(_dec(3), default_schedule(), np.ones(3), 1.0,
                     DSMConfig(initial_state=np.zeros(4))),
-     DimensionMismatchError, "initial state has length 4"),
+     DimensionMismatchError, "initial state has length 4, expected 3"),
+    (lambda: run_dsm(_dec(3), default_schedule(), np.ones(3), 0.5, y_reference=np.ones(1)),
+     DimensionMismatchError, "reference solution has length 1, expected 3"),
     (lambda: near_minimize(_cubic(), np.ones(3), 0.0, 1e-6), PreconditionError,
      "eps must be positive"),
     (lambda: near_minimize(_cubic(), np.ones(4), 0.1, 1e-6), DimensionMismatchError,
-     "data vector has length 4, operator expects 3"),
+     "data vector has length 4, expected 3"),
     (lambda: SeparableMonotoneOperator(()), PreconditionError, "at least one coordinate map"),
     (lambda: _cubic()(np.ones(2)), DimensionMismatchError,
      "operator argument has length 2, expected 3"),
@@ -60,8 +79,8 @@ def _cubic():
     (lambda: nonlinear_discrepancy_result(_cubic(), np.ones(3), 0.0), PreconditionError,
      "delta must be positive"),
     (lambda: nonlinear_discrepancy_result(_cubic(), np.ones(4), 0.1), DimensionMismatchError,
-     "data vector has length 4, operator expects 3"),
-    (lambda: cubic_separable_problem(3, 1.0, [1.0, 2.0]), PreconditionError,
+     "data vector has length 4, expected 3"),
+    (lambda: cubic_separable_problem(3, 1.0, [1.0, 2.0]), DimensionMismatchError,
      "reference solution has length 2, expected 3"),
     (lambda: PowerLawSchedule().derivative(-1.0), PreconditionError, "t must be nonnegative"),
     (lambda: PowerLawSchedule(b=0.01).invert(1e-300), NumericalError,
@@ -70,7 +89,9 @@ def _cubic():
         "dense_operator_1d", "max_steps_0", "trajectory_points_1", "noise_delta_0",
         "noise_delta_nan", "profile_shapes", "profile_negative_lambda", "profile_nan_lambda",
         "profile_empty",
-        "profile_zero_data_norm", "evolve_profile_length", "evolve_initial_state_length",
+        "profile_zero_data_norm", "profile_nan_null_mass", "profile_inf_data_norm",
+        "profile_nan_coefficient", "profile_overflowing_data", "profile_zero_lambdas",
+        "evolve_profile_length", "evolve_initial_state_length", "run_dsm_reference_length",
         "near_minimize_eps_0", "near_minimize_data_length", "separable_no_maps",
         "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
         "nonlinear_data_length", "cubic_reference_length", "schedule_derivative_negative_t",
@@ -121,3 +142,78 @@ def test_boolean_integer_and_other_float_vectors_are_converted(data):
     v = as_vector(data)
     assert v.dtype == float and v.dtype.isnative
     assert np.array_equal(v, np.asarray(data, dtype=float))
+
+
+# Each scalar the library takes as a positive real (or, for C, at least 1),
+# with the typed error and the message that refuse it
+_SCALAR_ENTRY_POINTS = {
+    "discrepancy_value.eps": (lambda x: discrepancy_value(_profile(), x),
+                              PreconditionError, "eps must be positive"),
+    "regularized_normal_solve.eps": (lambda x: regularized_normal_solve(_dec(3), x, np.ones(3)),
+                                     PreconditionError, "eps must be positive"),
+    "regularized_normal_solve_direct.eps": (
+        lambda x: regularized_normal_solve_direct(DenseOperator(np.eye(3)), x, np.ones(3)),
+        PreconditionError, "eps must be positive"),
+    "near_minimize.eps": (lambda x: near_minimize(_cubic(), np.ones(3), x, 1e-6),
+                          PreconditionError, "eps must be positive"),
+    "near_minimize.gap_budget": (lambda x: near_minimize(_cubic(), np.ones(3), 0.1, x),
+                                 PreconditionError, "gap_budget must be positive"),
+    "solve_for_epsilon.delta": (lambda x: solve_for_epsilon(_profile(), x),
+                                PreconditionError, "delta must be positive"),
+    "solve_for_epsilon.C": (lambda x: solve_for_epsilon(_profile(), 0.5, x),
+                            PreconditionError, "C must be at least 1 and finite"),
+    "stop_from_profile.delta": (lambda x: stop_from_profile(_profile(), default_schedule(), x),
+                                PreconditionError, "delta must be positive"),
+    # run_dsm refuses them at its discrepancy stage, after building the profile
+    "run_dsm.delta": (lambda x: run_dsm(_dec(3), default_schedule(), np.ones(3), x),
+                      PreconditionError, "delta must be positive"),
+    "run_dsm.C": (lambda x: run_dsm(_dec(3), default_schedule(), np.ones(3), 0.5, x),
+                  PreconditionError, "C must be at least 1 and finite"),
+    "NoiseSpec.delta": (lambda x: NoiseSpec(x, 0), PreconditionError, "delta must be positive"),
+    "nonlinear_discrepancy_result.delta": (
+        lambda x: nonlinear_discrepancy_result(_cubic(), np.ones(3), x),
+        PreconditionError, "delta must be positive"),
+    "nonlinear_discrepancy_result.C": (
+        lambda x: nonlinear_discrepancy_result(_cubic(), np.ones(3), 0.1, x),
+        PreconditionError, "needs 1 < C < inf"),
+    "evolve.t_end": (lambda x: evolve(_dec(3), default_schedule(), np.ones(3), x),
+                     PreconditionError, "t_end must be positive"),
+    "PowerLawSchedule.invert": (lambda x: PowerLawSchedule().invert(x),
+                                PreconditionError, "schedule value must be positive"),
+    "PowerLawSchedule.c0": (lambda x: PowerLawSchedule(c0=x), ConfigError, "c0 must be positive"),
+    "PowerLawSchedule.c1": (lambda x: PowerLawSchedule(c1=x), ConfigError, "c1 must be positive"),
+    "PowerLawSchedule.b": (lambda x: PowerLawSchedule(b=x), ConfigError, "b must lie in (0,1)"),
+    "DSMConfig.relative_tolerance": (lambda x: DSMConfig(relative_tolerance=x),
+                                     ConfigError, "relative_tolerance must be positive"),
+    "DSMConfig.absolute_tolerance": (lambda x: DSMConfig(absolute_tolerance=x),
+                                     ConfigError, "absolute_tolerance must be positive"),
+    "DSMConfig.max_steps": (lambda x: DSMConfig(max_steps=x), ConfigError,
+                            "max_steps must be positive"),
+    "gaussian_blur_problem.width": (lambda x: gaussian_blur_problem(8, x),
+                                    PreconditionError, "width must lie in (0, 1)"),
+    "cubic_separable_problem.coefficients": (
+        lambda x: cubic_separable_problem(3, x, [1.0, -1.0, 0.5]),
+        PreconditionError, "cubic coefficients must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf], ids=["0", "-1", "nan", "inf"])
+def test_scalars_are_positive_and_finite(entry, value):
+    call, error, message = _SCALAR_ENTRY_POINTS[entry]
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("make", [lambda seed: NoiseSpec(0.1, seed),
+                                  lambda seed: rank_deficient_problem(6, 3, seed)],
+                         ids=["NoiseSpec", "rank_deficient_problem"])
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, np.True_, "3"],
+                         ids=["float", "numpy_float", "bool", "numpy_bool", "string"])
+def test_seeds_are_integers(make, seed):
+    with pytest.raises(PreconditionError) as info:
+        make(seed)
+    assert type(info.value) is PreconditionError
+    assert "seed must be an integer" in str(info.value)
