@@ -90,8 +90,9 @@ class DSMConfig:
         _positive(self.absolute_tolerance, "absolute_tolerance", ConfigError)
         if not 0 < self.max_steps < math.inf:  # NaN would lift the cap silently
             raise ConfigError("max_steps must be positive")
-        if self.trajectory_points < 2:
-            raise ConfigError("trajectory_points must be at least 2")
+        points = self.trajectory_points
+        if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
+            raise ConfigError(f"trajectory_points must be an integer at least 2, got {points!r}")
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state",
                                _frozen(as_vector(self.initial_state, "initial_state")))
@@ -142,7 +143,8 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
 
     ``f_delta`` is the data vector, or its profile from ``build_profile``
     under ``dec``.  A failure raises ``NumericalError`` tagged with stage
-    ``integration`` and carrying the trajectory up to the failure.
+    ``integration`` and carrying the trajectory up to the failure; an error
+    from the schedule's ``eval`` escapes as it is, with no trajectory.
     """
     cfg = cfg or DSMConfig()
     profile = (f_delta if isinstance(f_delta, DiscrepancyProfile)
@@ -155,14 +157,13 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     u0 = _initial_state(dec, cfg)
     sg = dec.singular_values * profile.coefficients
     times = _report_grid(t_end, cfg.trajectory_points)
-    zs = [dec.right_vectors.T @ u0]
-    try:
-        _evolve_exponential(schedule, sg, profile.lambdas, times, cfg, zs)
-    except NumericalError as exc:
-        exc.stage = "integration"
-        exc.trajectory = _record(dec, profile, u0, times[:len(zs)], zs)
-        raise
-    return _record(dec, profile, u0, times, zs)
+    z = np.empty((times.size, sg.size))
+    z[0] = dec.right_vectors.T @ u0
+    rows, failure = _evolve_exponential(schedule, sg, profile.lambdas, times, cfg, z)
+    trajectory = _record(dec, profile, u0, times[:rows], z[:rows])
+    if failure is not None:
+        raise NumericalError(failure, stage="integration", trajectory=trajectory)
+    return trajectory
 
 
 def _initial_state(dec: SpectralDecomposition, cfg: DSMConfig) -> np.ndarray:
@@ -196,8 +197,9 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
     return Trajectory(times=ts, states=states, residual_norms=residuals)
 
 
-def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
-    """Append z at each report time after the first to ``zs``.
+def _evolve_exponential(schedule, sg, lam, times, cfg, z) -> tuple[int, str | None]:
+    """Fill ``z`` past its row z(0) and return the rows filled with ``None``,
+    or the rows before the earliest failure with its message.
 
     A late time b, past _LATE_TIME, takes z(b) = e^{-b} z(0) plus the 16-node
     Gauss-Laguerre integral, unchained, when the 8-node rule agrees within
@@ -215,39 +217,36 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, zs) -> None:
     ruled = np.zeros(b.size, dtype=bool)
     # the gaps before ``ready`` are early, or late with their rows evaluated
     ready = int(np.searchsorted(b, _LATE_TIME, side="right"))
-    diverged = math.inf  # the block's first non-finite ruled row, if any
     budget = cfg.max_steps
-    z = zs[0]
     start = 0
     while start < b.size:
         if start == ready:
             ready = start + min(block, b.size - start, budget)
             if ready == start:
-                raise NumericalError(f"max_steps = {cfg.max_steps} exceeded at t = {a[start]}")
+                return start + 1, f"max_steps = {cfg.max_steps} exceeded at t = {a[start]}"
             values, ruled[start:ready] = _laguerre_integrals(schedule, sg, lam, b[start:ready], cfg)
-            # the block's ruled z, from gap ``top`` on; its rows go into zs
-            late, top = values.T + np.exp(-b[start:ready])[:, None] * zs[0], start
-            bad = np.flatnonzero(ruled[start:ready] & ~np.isfinite(late).all(axis=1))
-            diverged = start + int(bad[0]) if bad.size else math.inf
+            late = values.T + np.exp(-b[start:ready])[:, None] * z[0]
+            z[start + 1:ready + 1][ruled[start:ready]] = late[ruled[start:ready]]
             budget -= ready - start
         cost = np.cumsum(np.where(ruled[start:ready], 0, round0[start:ready]))
         stop = start + max(1, int(np.searchsorted(cost, 2 * _ROUND_PANELS, side="right")))
         gaps = start + np.flatnonzero(~ruled[start:stop])
-        integrals, panels, failure = _gap_integrals(
-            schedule, sg, lam, a[gaps], b[gaps], cfg, budget)
-        budget -= int(panels.sum())
-        end = min(diverged, stop if failure is None else int(gaps[failure[0]]))
-        chained = iter(integrals.T)  # z is chained across the unruled gaps
-        for j, is_ruled in enumerate(ruled[start:end].tolist(), start):
-            z = late[j - top] if is_ruled else next(chained) + math.exp(-widths[j]) * z
-            if not (is_ruled or np.isfinite(z).all()):  # its block checked a ruled z
-                raise NumericalError("integration diverged")
-            zs.append(z)
-        if end == diverged:
-            raise NumericalError("integration diverged")
+        end, failure = stop, None
+        if gaps.size:  # a group of ruled rows alone takes no panels
+            integrals, panels, failure = _gap_integrals(
+                schedule, sg, lam, a[gaps], b[gaps], cfg, budget)
+            budget -= int(panels.sum())
+            end = stop if failure is None else int(gaps[failure[0]])
+            # z is chained across the unruled gaps before the failure
+            for k, j in enumerate(gaps[gaps < end].tolist()):
+                z[j + 1] = integrals[:, k] + math.exp(-widths[j]) * z[j]
+        bad = np.flatnonzero(~np.isfinite(z[start + 1:end + 1]).all(axis=1))
+        if bad.size:
+            return start + 1 + int(bad[0]), "integration diverged"
         if failure is not None:
-            raise NumericalError(failure[1])
+            return end + 1, failure[1]
         start = stop
+    return b.size + 1, None
 
 
 def _laguerre_integrals(schedule, sg, lam, b: np.ndarray,
@@ -393,8 +392,7 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     with _stage("integration"):
         if stopping.t_delta == 0.0:
             u0 = _initial_state(dec, cfg)
-            z0 = dec.right_vectors.T @ u0
-            trajectory = _record(dec, profile, u0, [0.0], [z0])
+            trajectory = _record(dec, profile, u0, [0.0], (dec.right_vectors.T @ u0)[None])
         else:
             trajectory = evolve(dec, schedule, profile, stopping.t_delta, cfg)
 

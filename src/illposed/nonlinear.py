@@ -46,10 +46,9 @@ class SeparableMonotoneOperator:
     coordinate functional (phi_i(x) - g_i)^2 + eps x^2 is unimodal on its
     search bracket, as for the shipped cubic family.  Nothing checks this,
     and monotonicity alone does not give it: phi = x up to 1, slope 1e-3 up
-    to 10 and slope 1 beyond has two basins at f = [1.5], and with
-    delta = 0.1 and C = 1.5 the result reports gap_certificate 0 while its
-    true gap at eps = 5.8e-5 is 0.0223, above the budget (C^2 - 1) delta^2
-    = 0.0125.
+    to 10 and slope 1 beyond has two basins at f = [1.5], where the true gap
+    at eps = 5.8e-5 is 0.0223.  With delta = 0.1 and C = 1.5 that run is
+    refused only because its continuation's lower bound on F lies above F.
     """
 
     def __init__(self, phis):
@@ -218,7 +217,8 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
     run is continued along the segment between the bracket's two cached
     near-minimizers (see :func:`_continue_across`) and ``theta`` records
     the point's position on it; NumericalError naming the bracket is
-    raised only if that point's residual or certificate misses its bound.
+    raised only if that point's residual misses its bound or its certificate
+    lies outside [0, budget].
     The operator must be separable (see :func:`near_minimize`).
     """
     _require_separable(op)
@@ -262,7 +262,7 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
     tolerance = 1e-9 * float(np.linalg.norm(f))
     if abs(nm.residual - target) > tolerance:
         nm, theta = _continue_across(op, f, cache[lo], nm, target, tolerance)
-        if abs(nm.residual - target) > tolerance or nm.gap_certificate > budget:
+        if abs(nm.residual - target) > tolerance or not 0.0 <= nm.gap_certificate <= budget:
             raise NumericalError(
                 f"continuation across the bracket [{lo:.12e}, {hi:.12e}] ends "
                 f"{abs(nm.residual - target):.3e} off C*delta with the certificate "
@@ -278,7 +278,8 @@ def _continue_across(op, f: np.ndarray, below: NearMinimizer, above: NearMinimiz
     """Bisect theta in [0, 1] on the residual of (1 - theta) u_lo + theta u_hi,
     which runs continuously from below the target to above it, and certify
     the point at eps_hi.  The infimum of F grows with eps, so both cached
-    near-minimizers give a lower bound on the infimum at eps_hi."""
+    near-minimizers give a lower bound on the infimum at eps_hi; a negative
+    certificate means that bound lies above F, disproving a cached one."""
     eps = above.epsilon
     floor = max(above.F_value - above.gap_certificate, below.F_value - below.gap_certificate)
     t_lo, t_hi = 0.0, 1.0
@@ -291,5 +292,5 @@ def _continue_across(op, f: np.ndarray, below: NearMinimizer, above: NearMinimiz
             t_lo = theta
         else:
             t_hi = theta
-    return replace(nm, gap_certificate=max(nm.F_value - floor, 0.0)), theta
+    return replace(nm, gap_certificate=nm.F_value - floor), theta
 

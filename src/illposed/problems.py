@@ -164,14 +164,14 @@ def add_noise(f_exact, dec: SpectralDecomposition | None,
     projected draw triggers a redraw with seed+1, at most 8 retries.
     """
     f = as_vector(f_exact, "exact data")
-    if spec.delta >= math.sqrt(f.dot(f)):
+    if spec.delta >= math.sqrt(np.vdot(f, f)):  # vdot: inf on overflow, no warning
         raise PreconditionError(
             f"delta = {spec.delta} must be smaller than the exact data norm")
     for attempt in range(9):
         e = np.random.default_rng(spec.seed + attempt).standard_normal(f.shape[0])
         if dec is not None:
             e = project_range_closure(dec, e)
-        norm_e = math.sqrt(e.dot(e))
+        norm_e = math.sqrt(np.vdot(e, e))
         if norm_e > 1e-8:
             return f + (spec.delta / norm_e) * e
     raise NumericalError("noise direction degenerated after 8 redraws")

@@ -81,14 +81,14 @@ class PowerLawSchedule(Schedule):
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if not np.all(t >= 0):  # NaN too
             raise PreconditionError("t must be nonnegative")
         out = self.c1 * (self.c0 + t) ** (-self.b)
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if not np.all(t >= 0):  # NaN too
             raise PreconditionError("t must be nonnegative")
         out = -self.b * self.c1 * (self.c0 + t) ** (-self.b - 1.0)
         return float(out) if out.ndim == 0 else out
@@ -115,7 +115,7 @@ class PowerLawSchedule(Schedule):
         ts = np.asarray(t_grid, dtype=float)
         if ts.ndim != 1 or ts.size == 0:
             raise PreconditionError("t_grid must be a nonempty 1-D array")
-        if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
+        if not (np.all(ts > 0) and np.all(np.diff(ts) > 0)):  # NaN too
             raise PreconditionError("t_grid must be positive and strictly ascending")
         q = np.array([abs(self.derivative(t / 2.0)) * self.eval(t) ** -2.0 for t in ts])
         r = np.array([math.exp(-t) / self.eval(t) if t < 745.0 else 0.0

@@ -313,12 +313,14 @@ def _panel_only_trajectory(dec, schedule, profile, t_end, cfg=DSMConfig()):
 
 
 def _count_panel_gaps(monkeypatch):
-    """The number of gaps ``evolve`` integrates by panel rounds, as a list of one."""
-    gaps = [0]
+    """The number of gaps ``evolve`` integrates by panel rounds, and the
+    number of its calls to ``_gap_integrals`` with no gap, as a list."""
+    gaps = [0, 0]
     original = dsm._gap_integrals
 
     def counted(schedule, sg, lam, a, b, *args):
         gaps[0] += b.size
+        gaps[1] += b.size == 0
         return original(schedule, sg, lam, a, b, *args)
     monkeypatch.setattr(dsm, "_gap_integrals", counted)
     return gaps
@@ -337,7 +339,8 @@ def _early_gaps(traj):
 @pytest.mark.parametrize("n, delta", [(64, 1e-2), (64, 1e-4), (64, 1e-6), (256, 1e-2)])
 def test_late_times_match_the_panel_only_path_at_the_stopping_time(monkeypatch, n, delta):
     # the four CLI solve inputs of the benchmark; 321 to 433 of the 511 gaps
-    # end past _LATE_TIME, and every one of them takes the Laguerre rule
+    # end past _LATE_TIME, and every one of them takes the Laguerre rule, so
+    # no late block calls _gap_integrals with an empty group
     prob = gaussian_blur_problem(n, 0.05)
     dec = prob.decomposition
     f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 7))
@@ -345,7 +348,7 @@ def test_late_times_match_the_panel_only_path_at_the_stopping_time(monkeypatch, 
     gaps = _count_panel_gaps(monkeypatch)
     res = run_dsm(dec, s, f, delta)
     assert 321 <= 511 - gaps[0] <= 433
-    assert gaps[0] == _early_gaps(res.trajectory)
+    assert gaps == [_early_gaps(res.trajectory), 0]
     profile = build_profile(dec, project_range_closure(dec, f))
     reference, failure = _panel_only_trajectory(dec, s, profile, res.stopping.t_delta)
     assert failure is None
@@ -378,6 +381,7 @@ def test_late_times_match_the_panel_only_path(evolve_inputs, monkeypatch, proble
     gaps = _count_panel_gaps(monkeypatch)
     traj = evolve(dec, schedule, profile, t_end, cfg)
     assert gaps[0] == _early_gaps(traj) == {3.0: 511, 1e3: 349, 1e7: 150}[t_end]
+    assert gaps[1] == 0
     _assert_states_agree(traj, reference, 1e-14)
 
 

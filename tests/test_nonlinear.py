@@ -379,6 +379,19 @@ class TestDiscrepancy:
         assert best.gap_certificate > 0.0125
         assert info.value.trace
 
+    def test_continuation_floor_above_F_raises(self):
+        # the two-basin phi from SeparableMonotoneOperator's docstring: the
+        # continued point's F (0.0287) lies below the cached lower bound on
+        # inf F (0.242), which disproves a cached certificate; the run
+        # reported a certificate of 0 and theta 0.0604 before
+        def phi(x):
+            return x if x <= 1.0 else 1.0 + 1e-3 * (x - 1.0) if x <= 10.0 else x - 8.991
+
+        op = SeparableMonotoneOperator((phi,))
+        with pytest.raises(NumericalError, match=r"certificate -2\.1\d*e-01 against") as info:
+            nonlinear_discrepancy_result(op, np.array([1.5]), 0.1, 1.5)
+        assert info.value.best.gap_certificate < 0.0
+
     def test_overshoot_at_the_smallest_eps_raises_at_once(self):
         # tanh cannot reach f = 2, so every residual is at least 1 > C*delta:
         # the scan stops at its first point

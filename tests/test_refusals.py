@@ -28,10 +28,11 @@ def _cubic():
     return cubic_separable_problem(3, 1.0, [1.0, -1.0, 0.5])[0]
 
 
-def _overflowing_profile():
+def _overflowing_profile(noise=False):
     # blur n = 64 data whose squared norm overflows to inf
     prob = gaussian_blur_problem(64, 0.05)
-    return build_profile(prob.decomposition, prob.f_exact * 1e160)
+    f, dec = prob.f_exact * 1e160, prob.decomposition
+    return build_profile(dec, add_noise(f, dec, NoiseSpec(1e-2, 7)) if noise else f)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -85,6 +86,21 @@ def _overflowing_profile():
     (lambda: PowerLawSchedule().derivative(-1.0), PreconditionError, "t must be nonnegative"),
     (lambda: PowerLawSchedule(b=0.01).invert(1e-300), NumericalError,
      "schedule inverse overflows"),
+    # NaN fails every comparison, so these passed a "t < 0" test
+    (lambda: PowerLawSchedule().eval(np.nan), PreconditionError, "t must be nonnegative"),
+    (lambda: PowerLawSchedule().eval(np.array([1.0, np.nan])), PreconditionError,
+     "t must be nonnegative"),
+    (lambda: PowerLawSchedule().derivative(np.nan), PreconditionError, "t must be nonnegative"),
+    # this grid reported admissible=True
+    (lambda: PowerLawSchedule().admissibility_report([10.0, np.nan, 1e3, 1e4]),
+     PreconditionError, "positive and strictly ascending"),
+    # these reached an untyped TypeError from linspace or geomspace
+    (lambda: DSMConfig(trajectory_points=np.nan), ConfigError, "an integer at least 2"),
+    (lambda: DSMConfig(trajectory_points=np.inf), ConfigError, "an integer at least 2"),
+    (lambda: DSMConfig(trajectory_points=2.5), ConfigError, "an integer at least 2"),
+    (lambda: DSMConfig(trajectory_points=True), ConfigError, "an integer at least 2"),
+    # the data norm overflowed with a RuntimeWarning before the profile refused it
+    (lambda: _overflowing_profile(noise=True), PreconditionError, "both finite"),
 ], ids=["as_vector_2d", "as_vector_empty", "as_vector_nan", "data_length",
         "dense_operator_1d", "max_steps_0", "trajectory_points_1", "noise_delta_0",
         "noise_delta_nan", "profile_shapes", "profile_negative_lambda", "profile_nan_lambda",
@@ -95,7 +111,10 @@ def _overflowing_profile():
         "near_minimize_eps_0", "near_minimize_data_length", "separable_no_maps",
         "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
         "nonlinear_data_length", "cubic_reference_length", "schedule_derivative_negative_t",
-        "schedule_invert_overflow"])
+        "schedule_invert_overflow", "schedule_eval_nan_t", "schedule_eval_nan_in_array",
+        "schedule_derivative_nan_t", "admissibility_nan_grid", "trajectory_points_nan",
+        "trajectory_points_inf", "trajectory_points_float", "trajectory_points_bool",
+        "profile_overflowing_noisy_data"])
 def test_refused_with_a_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -217,3 +236,8 @@ def test_seeds_are_integers(make, seed):
         make(seed)
     assert type(info.value) is PreconditionError
     assert "seed must be an integer" in str(info.value)
+
+
+@pytest.mark.parametrize("points", [np.int64(40), np.int32(2)], ids=["int64", "int32"])
+def test_trajectory_points_take_numpy_integers(points):
+    assert DSMConfig(trajectory_points=points).trajectory_points == points
