@@ -62,6 +62,9 @@ _LG8_X, _LG8_W = np.polynomial.laguerre.laggauss(8)
 _LG_NODES = np.concatenate([_LG16_X, _LG8_X])
 _LATE_TIME = _WINDOW + _LG16_X[-1]
 
+_REPORT_POINTS = 512  # report times of ``evolve`` past t_end = 2, 0 included
+_MAX_STEPS = 10 ** 6  # quadrature rows ``evolve`` may evaluate
+
 # Null-space data below this relative mass counts as numerical dust and is
 # projected away on C = 1 runs; anything larger is a genuine violation of
 # the orthogonality assumption and gets rejected.
@@ -70,29 +73,23 @@ _NULL_DUST_REL = 1e-14
 
 @dataclass(frozen=True)
 class DSMConfig:
-    """Tolerances, start state, step budget and report points of ``evolve``.
+    """Tolerances and start state u0 of ``evolve``.
 
-    The report times, and so the rows of the CLI's ``trajectory.csv``, are
-    0 and then ``trajectory_points - 1`` geometric points from 1 to
-    ``t_end``.  When ``t_end <= 2`` or ``trajectory_points < 4`` they are
-    ``min(trajectory_points, 65)`` evenly spaced points from 0 to ``t_end``.
+    Each report time b's quadrature tolerance is
+    ``max(absolute_tolerance, relative_tolerance * ||w(b)||)``.  The report
+    times, and so the rows of the CLI's ``trajectory.csv``, are 0 and then
+    511 geometric points from 1 to ``t_end``, or 65 evenly spaced points
+    from 0 to ``t_end`` when ``t_end <= 2``.
     """
 
     relative_tolerance: float = 1e-8
     absolute_tolerance: float = 1e-12
     initial_state: np.ndarray | None = None
-    max_steps: int = 10 ** 6
-    trajectory_points: int = 512
 
     def __post_init__(self):
         # a NaN or infinite tolerance would pass or fail every estimate silently
         _positive(self.relative_tolerance, "relative_tolerance", ConfigError)
         _positive(self.absolute_tolerance, "absolute_tolerance", ConfigError)
-        if not 0 < self.max_steps < math.inf:  # NaN would lift the cap silently
-            raise ConfigError("max_steps must be positive")
-        points = self.trajectory_points
-        if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
-            raise ConfigError(f"trajectory_points must be an integer at least 2, got {points!r}")
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state",
                                _frozen(as_vector(self.initial_state, "initial_state")))
@@ -154,28 +151,29 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
             f"profile has {profile.coefficients.shape[0]} coefficients, "
             f"operator has numerical rank {dec.numerical_rank}")
     _positive(t_end, "t_end")
-    u0 = _initial_state(dec, cfg)
-    sg = dec.singular_values * profile.coefficients
-    times = _report_grid(t_end, cfg.trajectory_points)
+    u0 = _initial_state(dec, cfg.initial_state)
+    sg, lam = dec.singular_values * profile.coefficients, profile.lambdas
+    times = _report_grid(t_end)
+    # each report time's tolerance max(atol, rtol ||w(b)||)
+    scale = np.linalg.norm(sg[:, None] / (lam[:, None] + schedule.eval(times[1:])), axis=0)
+    tol = np.maximum(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
     z = np.empty((times.size, sg.size))
     z[0] = dec.right_vectors.T @ u0
-    rows, failure = _evolve_exponential(schedule, sg, profile.lambdas, times, cfg, z)
+    rows, failure = _evolve_exponential(schedule, sg, lam, times, tol, z)
     trajectory = _record(dec, profile, u0, times[:rows], z[:rows])
     if failure is not None:
         raise NumericalError(failure, stage="integration", trajectory=trajectory)
     return trajectory
 
 
-def _initial_state(dec: SpectralDecomposition, cfg: DSMConfig) -> np.ndarray:
-    if cfg.initial_state is None:
-        return np.zeros(dec.cols)
-    return _sized(cfg.initial_state, dec.cols, "initial state")
+def _initial_state(dec: SpectralDecomposition, u0) -> np.ndarray:
+    return np.zeros(dec.cols) if u0 is None else _sized(u0, dec.cols, "initial state")
 
 
-def _report_grid(t_end: float, points: int) -> np.ndarray:
-    if t_end <= 2.0 or points < 4:
-        return np.linspace(0.0, t_end, max(2, min(points, 65)))
-    interior = np.geomspace(1.0, t_end, points - 1)
+def _report_grid(t_end: float) -> np.ndarray:
+    if t_end <= 2.0:
+        return np.linspace(0.0, t_end, min(_REPORT_POINTS, 65))
+    interior = np.geomspace(1.0, t_end, _REPORT_POINTS - 1)
     interior[-1] = t_end
     return np.unique(np.concatenate([[0.0], interior]))
 
@@ -197,9 +195,10 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
     return Trajectory(times=ts, states=states, residual_norms=residuals)
 
 
-def _evolve_exponential(schedule, sg, lam, times, cfg, z) -> tuple[int, str | None]:
+def _evolve_exponential(schedule, sg, lam, times, tol, z) -> tuple[int, str | None]:
     """Fill ``z`` past its row z(0) and return the rows filled with ``None``,
-    or the rows before the earliest failure with its message.
+    or the rows before the earliest failure with its message; ``tol`` holds
+    the tolerance of each report time past 0.
 
     A late time b, past _LATE_TIME, takes z(b) = e^{-b} z(0) plus the 16-node
     Gauss-Laguerre integral, unchained, when the 8-node rule agrees within
@@ -207,8 +206,8 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, z) -> tuple[int, str | No
     node array is no larger than a panel round's.  Every other gap takes its
     integral from ``_gap_integrals``, in groups that close before their round
     0 (three evaluations per top-level panel) would pass 2 * _ROUND_PANELS,
-    and z is chained across the group.  ``max_steps`` is charged in
-    report-time order, a block's rows (one per time) before its groups.
+    and z is chained across the group.  _MAX_STEPS is charged in report-time
+    order, a block's rows (one per time) before its groups.
     """
     a, b = times[:-1], times[1:]
     widths = (b - a).tolist()
@@ -217,14 +216,15 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, z) -> tuple[int, str | No
     ruled = np.zeros(b.size, dtype=bool)
     # the gaps before ``ready`` are early, or late with their rows evaluated
     ready = int(np.searchsorted(b, _LATE_TIME, side="right"))
-    budget = cfg.max_steps
+    budget = _MAX_STEPS
     start = 0
     while start < b.size:
         if start == ready:
             ready = start + min(block, b.size - start, budget)
             if ready == start:
-                return start + 1, f"max_steps = {cfg.max_steps} exceeded at t = {a[start]}"
-            values, ruled[start:ready] = _laguerre_integrals(schedule, sg, lam, b[start:ready], cfg)
+                return start + 1, f"max_steps = {_MAX_STEPS} exceeded at t = {a[start]}"
+            values, ruled[start:ready] = _laguerre_integrals(
+                schedule, sg, lam, b[start:ready], tol[start:ready])
             late = values.T + np.exp(-b[start:ready])[:, None] * z[0]
             z[start + 1:ready + 1][ruled[start:ready]] = late[ruled[start:ready]]
             budget -= ready - start
@@ -234,7 +234,7 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, z) -> tuple[int, str | No
         end, failure = stop, None
         if gaps.size:  # a group of ruled rows alone takes no panels
             integrals, panels, failure = _gap_integrals(
-                schedule, sg, lam, a[gaps], b[gaps], cfg, budget)
+                schedule, sg, lam, a[gaps], b[gaps], tol[gaps], budget)
             budget -= int(panels.sum())
             end = stop if failure is None else int(gaps[failure[0]])
             # z is chained across the unruled gaps before the failure
@@ -250,11 +250,10 @@ def _evolve_exponential(schedule, sg, lam, times, cfg, z) -> tuple[int, str | No
 
 
 def _laguerre_integrals(schedule, sg, lam, b: np.ndarray,
-                        cfg: DSMConfig) -> tuple[np.ndarray, np.ndarray]:
+                        tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """integral_0^inf e^{-tau} w(b - tau) dtau at each late time b by the
     16-node Gauss-Laguerre rule, as the columns of an r x times array, and
     whether the 8-node rule agrees with it within the time's tolerance."""
-    tol = _tolerance(schedule, sg, lam, b, cfg)  # before w: its temporaries would add to w
     eps = np.asarray(schedule.eval(b[:, None] - _LG_NODES), dtype=float)
     w = lam[:, None, None] + eps
     np.divide(sg[:, None, None], w, out=w)  # in place: w is the block's largest array
@@ -267,17 +266,11 @@ def _top_panels(window: np.ndarray) -> np.ndarray:
     return np.maximum(1, np.ceil(window / _MAX_PANEL_WIDTH)).astype(int)
 
 
-def _tolerance(schedule, sg, lam, b: np.ndarray, cfg: DSMConfig) -> np.ndarray:
-    """max(atol, rtol ||w(b)||) for each time b."""
-    scale = np.linalg.norm(sg[:, None] / (lam[:, None] + schedule.eval(b)), axis=0)
-    return np.maximum(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
-
-
-def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, cfg: DSMConfig,
+def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, tol: np.ndarray,
                    budget: int) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """integral_0^window e^{-tau} w(b - tau) dtau for each gap [a, b], with
     w = sg / (lam + eps) and window = min(b - a, _WINDOW), by 7-node
-    Gauss-Legendre panels.
+    Gauss-Legendre panels, to the tolerance ``tol`` of each gap.
 
     Returns the integrals as the columns of an r x gaps array, the panel
     evaluations spent on each gap (at most ``budget`` in all), and ``None``
@@ -291,7 +284,6 @@ def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, cfg: DSMConf
     to the front.
     """
     window = np.minimum(b - a, _WINDOW)
-    tol = _tolerance(schedule, sg, lam, b, cfg)
     n_top = _top_panels(window)
     gap = np.repeat(np.arange(b.size), n_top)
     pos = np.arange(gap.size) - np.repeat(np.cumsum(n_top) - n_top, n_top)
@@ -313,7 +305,7 @@ def _gap_integrals(schedule, sg, lam, a: np.ndarray, b: np.ndarray, cfg: DSMConf
         reps = x0.size // k  # 3 in round 0, then 2
         if panels.sum() + x0.size > budget:
             j = int(open_[4].min())
-            return total, panels, (j, f"max_steps = {cfg.max_steps} exceeded at t = {a[j]}")
+            return total, panels, (j, f"max_steps = {_MAX_STEPS} exceeded at t = {a[j]}")
         panels += reps * np.bincount(g, minlength=b.size)
         width = (x1 - x0)[:, None]
         tau = x0[:, None] + width * _GL_NODES
@@ -380,8 +372,8 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
         if C == 1.0 and dec.numerical_rank < dec.rows:
             f_used = project_range_closure(dec, f)
             d = f - f_used
-            projected_null = float(d @ d)
-            if projected_null > _NULL_DUST_REL * float(f @ f):
+            projected_null = float(np.vdot(d, d))  # vdot: inf on overflow, no warning
+            if projected_null > _NULL_DUST_REL * float(np.vdot(f, f)):
                 raise PreconditionError(
                     "data has null-space component; project f_delta or increase C")
         profile = build_profile(dec, f_used)
@@ -391,7 +383,7 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
 
     with _stage("integration"):
         if stopping.t_delta == 0.0:
-            u0 = _initial_state(dec, cfg)
+            u0 = _initial_state(dec, cfg.initial_state)
             trajectory = _record(dec, profile, u0, [0.0], (dec.right_vectors.T @ u0)[None])
         else:
             trajectory = evolve(dec, schedule, profile, stopping.t_delta, cfg)

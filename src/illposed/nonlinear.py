@@ -160,7 +160,8 @@ def near_minimize(op: SeparableMonotoneOperator, f_delta, eps: float,
     the shares' sum is the point's certificate.  Any other operator raises
     PreconditionError.  A coordinate whose share is out of reach raises
     NumericalError carrying the point so far, whose certificate exceeds
-    the budget.
+    the budget; one whose map overflows on the search bracket raises
+    NumericalError naming it and eps.
     """
     _require_separable(op)
     _positive(gap_budget, "gap_budget")
@@ -172,7 +173,11 @@ def near_minimize(op: SeparableMonotoneOperator, f_delta, eps: float,
     u = np.zeros(op.dimension)
     total_cert = 0.0
     for i, phi in enumerate(op.phis):
-        u[i], cert = _certified_scalar_min(phi, f[i], eps, radius, per_coord)
+        try:
+            u[i], cert = _certified_scalar_min(phi, f[i], eps, radius, per_coord)
+        except OverflowError as exc:  # a Python-float power at the bracket end
+            raise NumericalError(f"coordinate {i} overflows on its search bracket "
+                                 f"[-{radius}, {radius}] at eps = {eps}") from exc
         total_cert += cert
         if cert > per_coord:
             raise NumericalError(

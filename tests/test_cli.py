@@ -422,6 +422,16 @@ class TestNonlinear:
         rows = read_csv(tmp_path / "out" / "scan_trace_0.csv")
         assert rows[0] == ["epsilon", "h", "F_value", "gap_certificate"]
 
+    def test_overflowing_map_is_a_failure_row(self, tmp_path):
+        # the Python-float cube at the search bracket's end, 1e104, overflows:
+        # the row records it as a failure and the command goes on
+        path = write_config(tmp_path, problem={"name": "cubic", "n": 2, "y": [1e30, 1.0]},
+                            C=1.5, delta_sequence=[1e-3])
+        assert main(["nonlinear", "--config", str(path), "--quiet"]) == EXIT_OK
+        rows = read_csv(tmp_path / "out" / "nonlinear.csv")
+        assert rows[1:] == [["0.001", "", "", "", "", "coordinate 0 overflows on its search "
+                             "bracket [-1e+104, 1e+104] at eps = 1e-14"]]
+
     def test_requires_c_above_one(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "cubic", "n": 4},
                             C=1.0, delta_sequence=[1e-1, 1e-2])
@@ -482,6 +492,16 @@ class TestCheckSchedule:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "admissible" in proc.stdout
         assert json.loads((tmp_path / "out" / "schedule_report.json").read_text())["admissible"]
+
+    @pytest.mark.parametrize("schedule, verdict, code", [
+        ({}, "admissible, r(50)=1.377e-21", EXIT_OK),
+        ({"c0": 1e20}, "NOT admissible, r(50)=1.929e-12", EXIT_NUMERICAL),
+    ], ids=["default", "c0_1e20"])
+    def test_summary_line(self, tmp_path, capsys, schedule, verdict, code):
+        path = write_config(tmp_path, schedule=schedule)
+        assert main(["check-schedule", "--config", str(path)]) == code
+        c0 = schedule.get("c0", 1.0)
+        assert capsys.readouterr().out == f"schedule c0={c0} c1=1.0 b=0.5: {verdict}\n"
 
     def test_b_near_one(self, tmp_path):
         path = write_config(tmp_path, schedule={"c0": 1.0, "c1": 1.0, "b": 0.99})

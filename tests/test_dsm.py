@@ -184,6 +184,13 @@ def _recursive_gap_integral(schedule, sg, lam, t_right, window, tol):
     return total, used
 
 
+def _tol(schedule, sg, lam, b, cfg=DSMConfig()):
+    """The tolerance max(atol, rtol ||w(b)||) of each time b, as ``evolve``
+    hands it to the quadrature helpers."""
+    scale = np.linalg.norm(sg[:, None] / (lam[:, None] + schedule.eval(b)), axis=0)
+    return np.maximum(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
+
+
 def _reference_gaps(schedule, sg, lam, times, rel_tol):
     """The recursive reference's integral and panel count for each gap."""
     out = []
@@ -222,7 +229,7 @@ def test_gap_integral_matches_recursive_reference(gauss32, monkeypatch, schedule
                             (np.arange(4)[::-1], 4)):
         lo, hi = times[:-1][order], times[1:][order]
         calls = [_gap_integrals(schedule, sg, lam, lo[i:i + per_call], hi[i:i + per_call],
-                                cfg, 10 ** 6)
+                                _tol(schedule, sg, lam, hi[i:i + per_call], cfg), 10 ** 6)
                  for i in range(0, 4, per_call)]
         assert all(failure is None for _, _, failure in calls)
         values = np.hstack([v for v, _, _ in calls])
@@ -266,7 +273,7 @@ def test_record_builds_states_without_a_second_full_array(start):
     prob = gaussian_blur_problem(256, 0.05)
     dec = prob.decomposition
     p = build_profile(dec, add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7)))
-    times = dsm._report_grid(1e4, 512)
+    times = dsm._report_grid(1e4)
     rng = np.random.default_rng(3)
     zs = list(rng.standard_normal((times.size, dec.numerical_rank)))
     u0 = np.zeros(dec.cols) if start == "zero" else rng.standard_normal(dec.cols)
@@ -293,16 +300,17 @@ def _panel_only_trajectory(dec, schedule, profile, t_end, cfg=DSMConfig()):
     from a zero start.  Returns the trajectory up to the earliest failing
     gap, and the failure message or None."""
     sg, lam = dec.singular_values * profile.coefficients, profile.lambdas
-    times = dsm._report_grid(t_end, cfg.trajectory_points)
+    times = dsm._report_grid(t_end)
     a, b = times[:-1], times[1:]
+    tol = _tol(schedule, sg, lam, b, cfg)
     round0 = 3 * np.maximum(1, np.ceil(np.minimum(b - a, 60.0) / _MAX_PANEL_WIDTH))
     zs = [np.zeros(dec.numerical_rank)]
-    budget, start, message = cfg.max_steps, 0, None
+    budget, start, message = dsm._MAX_STEPS, 0, None
     while start < b.size and message is None:
         stop = start + max(1, int(np.searchsorted(
             np.cumsum(round0[start:]), 2 * dsm._ROUND_PANELS, side="right")))
         integrals, panels, failure = _gap_integrals(
-            schedule, sg, lam, a[start:stop], b[start:stop], cfg, budget)
+            schedule, sg, lam, a[start:stop], b[start:stop], tol[start:stop], budget)
         budget -= int(panels.sum())
         done = stop - start if failure is None else failure[0]
         message = failure and failure[1]
@@ -475,7 +483,7 @@ def blur256_stages():
     t = run_dsm(dec, s, f, 1e-2).stopping.t_delta
     p = build_profile(dec, f)
     sg, lam = dec.singular_values * p.coefficients, p.lambdas
-    times = dsm._report_grid(t, cfg.trajectory_points)
+    times = dsm._report_grid(t)
     a, b = times[:-1], times[1:]
     round0 = 3 * dsm._top_panels(np.minimum(b - a, dsm._WINDOW))
     group = int(np.searchsorted(np.cumsum(round0), 2 * dsm._ROUND_PANELS, side="right"))
@@ -483,10 +491,13 @@ def blur256_stages():
     block = 2 * dsm._ROUND_PANELS * dsm._GL_NODES.size // dsm._LG_NODES.size
     evaluations = int(round0[:group].sum())
     assert (group, evaluations, block) == (165, 510, 149)
+    tol = _tol(s, sg, lam, b, cfg)  # taken by ``evolve`` before either stage
     return {  # w holds r floats, sg.nbytes, per evaluation and node
-        "gap": (lambda: _gap_integrals(s, sg, lam, a[:group], b[:group], cfg, cfg.max_steps),
+        "gap": (lambda: _gap_integrals(s, sg, lam, a[:group], b[:group], tol[:group],
+                                       dsm._MAX_STEPS),
                 sg.nbytes * evaluations * dsm._GL_NODES.size),
-        "laguerre": (lambda: dsm._laguerre_integrals(s, sg, lam, b[late:late + block], cfg),
+        "laguerre": (lambda: dsm._laguerre_integrals(s, sg, lam, b[late:late + block],
+                                                     tol[late:late + block]),
                      sg.nbytes * block * dsm._LG_NODES.size),
     }
 
@@ -506,9 +517,8 @@ def _warm_peak(call):
 def test_integration_stage_peaks_little_above_its_node_array(blur256_stages, stage, ratio):
     # w, about 1.5 MB in both stages, is each one's largest array; the
     # smaller arrays built after it (the split bookkeeping, the Laguerre
-    # tolerance) must not stack on it.  Measured 1.27x and 1.19x; keeping w
-    # alive through the round, or taking the tolerance after w, gives 1.44x
-    # and 1.23x.
+    # estimate) must not stack on it.  Measured 1.27x and 1.19x; keeping w
+    # alive through the panel round gives 1.44x.
     call, w_bytes = blur256_stages[stage]
     assert _warm_peak(call) <= ratio * w_bytes
 
@@ -522,28 +532,31 @@ def test_late_time_blocks_peak_no_higher_than_the_panel_only_path(blur256_stages
 
 
 class TestEvolveErrors:
-    def test_max_steps_with_partial_trajectory(self, gauss32):
+    def test_max_steps_with_partial_trajectory(self, gauss32, monkeypatch):
+        monkeypatch.setattr(dsm, "_MAX_STEPS", 3)
         prob, dec = gauss32
         with pytest.raises(NumericalError, match="max_steps = 3 exceeded") as info:
-            evolve(dec, default_schedule(), prob.f_exact, 50.0, DSMConfig(max_steps=3))
+            evolve(dec, default_schedule(), prob.f_exact, 50.0)
         assert info.value.stage == "integration"
         partial = info.value.trajectory
         assert partial is not None
         assert partial.times[0] == 0.0
         assert partial.times[-1] < 50.0
 
-    def test_max_steps_quadrature(self, gauss32):
+    def test_max_steps_quadrature(self, gauss32, monkeypatch):
         # a cap of one step stops before the first report time past t = 0
+        monkeypatch.setattr(dsm, "_MAX_STEPS", 1)
         prob, dec = gauss32
         with pytest.raises(NumericalError, match="max_steps = 1 exceeded") as info:
-            evolve(dec, default_schedule(), prob.f_exact, 50.0, DSMConfig(max_steps=1))
+            evolve(dec, default_schedule(), prob.f_exact, 50.0)
         assert info.value.trajectory is not None
         assert list(info.value.trajectory.times) == [0.0]
 
-    def test_panel_depth_cap_raises_with_partial_trajectory(self):
+    def test_panel_depth_cap_raises_with_partial_trajectory(self, monkeypatch):
+        monkeypatch.setattr(dsm, "_REPORT_POINTS", 3)
         prob = identity_problem(3)
         dec = prob.decomposition
-        cfg = DSMConfig(relative_tolerance=1e-12, trajectory_points=3)
+        cfg = DSMConfig(relative_tolerance=1e-12)
         with pytest.raises(NumericalError, match="not converged") as info:
             evolve(dec, JumpSchedule(1e-3, 0.3), prob.f_exact, 1.0, cfg)
         assert info.value.stage == "integration"
@@ -553,7 +566,7 @@ class TestEvolveErrors:
 
     def test_unreachable_panel_tolerance_fails_fast_in_bounded_memory(self, gauss32):
         # a tolerance below rounding: no panel converges, so refinement must
-        # stop at the depth cap long before the default max_steps = 1e6
+        # stop at the depth cap long before the step budget _MAX_STEPS = 1e6
         prob, dec = gauss32
         cfg = DSMConfig(relative_tolerance=1e-20, absolute_tolerance=1e-300)
         tracemalloc.start()
@@ -608,18 +621,19 @@ class TestFailuresAcrossGroups:
         # panels, 19 late ones a Laguerre row each (in blocks of 149, or of 1)
         if round_panels:
             monkeypatch.setattr(dsm, "_ROUND_PANELS", round_panels)
+        monkeypatch.setattr(dsm, "_REPORT_POINTS", 40)
         prob, dec = gauss32
         s, t_end = default_schedule(), 1e4
-        cfg = DSMConfig(trajectory_points=40)
         sg, lam = _blur_coefficients(dec, prob)
-        times = dsm._report_grid(t_end, 40)
+        times = dsm._report_grid(t_end)
         late = int(np.sum(times > dsm._LATE_TIME))
         assert late == 19
         needed = late + sum(n for _, n in _reference_gaps(
-            s, sg, lam, times[:-late], cfg.relative_tolerance))
+            s, sg, lam, times[:-late], DSMConfig().relative_tolerance))
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
         evaluated = self._count_panels(monkeypatch)
-        evolve(dec, s, f, t_end, DSMConfig(trajectory_points=40, max_steps=needed))
+        monkeypatch.setattr(dsm, "_MAX_STEPS", needed)
+        evolve(dec, s, f, t_end)
         assert evaluated[0] == needed
         # a round holds at most 2 * _ROUND_PANELS evaluations, or one gap's
         # round 0: 3 per top-level panel of a window of 60; a block of late
@@ -627,8 +641,9 @@ class TestFailuresAcrossGroups:
         assert evaluated[1] <= max(2 * dsm._ROUND_PANELS, 90)
         for max_steps in (3, needed // 3, needed - 1):
             evaluated[0] = 0
+            monkeypatch.setattr(dsm, "_MAX_STEPS", max_steps)
             with pytest.raises(NumericalError) as info:
-                evolve(dec, s, f, t_end, DSMConfig(trajectory_points=40, max_steps=max_steps))
+                evolve(dec, s, f, t_end)
             assert evaluated[0] <= max_steps
             prefix = f"max_steps = {max_steps} exceeded at t = "
             assert str(info.value).startswith(prefix)
@@ -648,14 +663,17 @@ class TestFailuresAcrossGroups:
         # the cap first, and the second gap must still be refined to its cap.
         if round_panels:
             monkeypatch.setattr(dsm, "_ROUND_PANELS", round_panels)
+        monkeypatch.setattr(dsm, "_REPORT_POINTS", 5)
         prob = identity_problem(3)
         dec = prob.decomposition
         p = build_profile(dec, prob.f_exact)
-        cfg = DSMConfig(relative_tolerance=1e-12, trajectory_points=5)
+        sg = dec.singular_values * p.coefficients
+        cfg = DSMConfig(relative_tolerance=1e-12)
         schedule = StepSchedule([1.0, 1e-3, 1e-6], [0.3, late_jump])
         a = np.array([0.0, 0.25, 0.5, 0.75])
-        _, _, (gap, message) = _gap_integrals(schedule, dec.singular_values * p.coefficients,
-                                              p.lambdas, a, a + 0.25, cfg, 10 ** 6)
+        _, _, (gap, message) = _gap_integrals(schedule, sg, p.lambdas, a, a + 0.25,
+                                              _tol(schedule, sg, p.lambdas, a + 0.25, cfg),
+                                              10 ** 6)
         with pytest.raises(NumericalError, match="not converged") as info:
             evolve(dec, schedule, prob.f_exact, 1.0, cfg)
         assert gap == 1
@@ -664,11 +682,12 @@ class TestFailuresAcrossGroups:
         assert lo <= 0.3 <= hi
         assert info.value.trajectory.times[-1] == 0.25
 
-    def test_divergence_before_a_later_depth_cap_is_raised(self):
+    def test_divergence_before_a_later_depth_cap_is_raised(self, monkeypatch):
         # eps is NaN in the second gap and jumps in the fourth, in one group
+        monkeypatch.setattr(dsm, "_REPORT_POINTS", 5)
         prob = identity_problem(3)
         dec = prob.decomposition
-        cfg = DSMConfig(relative_tolerance=1e-12, trajectory_points=5)
+        cfg = DSMConfig(relative_tolerance=1e-12)
         schedule = StepSchedule([1.0, np.nan, 1.0, 1e-3], [0.3, 0.4, 0.9])
         with pytest.raises(NumericalError, match="integration diverged") as info:
             evolve(dec, schedule, prob.f_exact, 1.0, cfg)
@@ -685,7 +704,7 @@ class TestFailuresAcrossGroups:
         with pytest.raises(NumericalError, match="integration diverged") as info:
             evolve(dec, schedule, prob.f_exact, 1000.0)
         assert info.value.stage == "integration"
-        times = dsm._report_grid(1000.0, DSMConfig().trajectory_points)
+        times = dsm._report_grid(1000.0)
         assert info.value.trajectory.times[-1] == times[times < 300.0][-1]
         assert round(float(info.value.trajectory.times[-1]), 2) == 299.55
 
@@ -695,21 +714,22 @@ class TestFailuresAcrossGroups:
         # a ruled row is checked when its block is built, but the failure is
         # still raised in report-time order: after the ``unruled`` late rows
         # before it, which take panels in groups of their own
+        monkeypatch.setattr(dsm, "_REPORT_POINTS", 40)
         prob, dec = gauss32
-        times = dsm._report_grid(1e4, 40)
+        times = dsm._report_grid(1e4)
         first = int(np.searchsorted(times, dsm._LATE_TIME, side="right"))
         bad = first + unruled + 2
         original = dsm._laguerre_integrals
 
-        def faulty(schedule, sg, lam, b, cfg):
-            values, ruled = original(schedule, sg, lam, b, cfg)
+        def faulty(schedule, sg, lam, b, tol):
+            values, ruled = original(schedule, sg, lam, b, tol)
             values[:, b == times[bad]] = np.inf
             ruled[(b > times[first + 1]) & (b < times[bad])] = False
             return values, ruled
         monkeypatch.setattr(dsm, "_laguerre_integrals", faulty)
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
         with pytest.raises(NumericalError, match="integration diverged") as info:
-            evolve(dec, default_schedule(), f, 1e4, DSMConfig(trajectory_points=40))
+            evolve(dec, default_schedule(), f, 1e4)
         assert info.value.stage == "integration"
         assert list(info.value.trajectory.times) == list(times[:bad])
 

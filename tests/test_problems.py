@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from illposed import (NoiseSpec, PreconditionError, add_noise, build_profile,
-                      cubic_separable_problem, decompose,
+from illposed import (NoiseSpec, NumericalError, PreconditionError, SpectralDecomposition,
+                      add_noise, build_profile, cubic_separable_problem, decompose,
                       gaussian_blur_problem, hilbert_problem, identity_problem,
                       project_range_closure, rank_deficient_problem)
 from illposed import problems
@@ -208,6 +208,16 @@ class TestNoise:
         prob, dec = hilbert8
         with pytest.raises(PreconditionError):
             add_noise(prob.f_exact, dec, NoiseSpec(10.0, 0))
+
+    def test_degenerate_direction_fails_after_8_redraws(self, monkeypatch):
+        # no retained left vector: every draw projects to 0
+        dec = SpectralDecomposition(np.zeros(0), np.zeros((3, 0)), np.zeros((3, 0)))
+        seeds = []
+        rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or rng(seed))
+        with pytest.raises(NumericalError, match="^noise direction degenerated after 8 redraws$"):
+            add_noise(np.ones(3), dec, NoiseSpec(1e-2, 7))
+        assert seeds == list(range(7, 16))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(PreconditionError, match="seed must be non-negative"):

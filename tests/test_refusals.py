@@ -35,6 +35,12 @@ def _overflowing_profile(noise=False):
     return build_profile(dec, add_noise(f, dec, NoiseSpec(1e-2, 7)) if noise else f)
 
 
+def _overflowing_run():
+    # the same data at C = 1: blur n = 64 keeps 51 of 64 triplets, so it is projected
+    prob = gaussian_blur_problem(64, 0.05)
+    return run_dsm(prob.decomposition, default_schedule(), prob.f_exact * 1e160, 1e-2)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: as_vector(np.ones((2, 2))), DimensionMismatchError, "one-dimensional"),
     (lambda: as_vector([]), DimensionMismatchError, "nonempty"),
@@ -42,8 +48,6 @@ def _overflowing_profile(noise=False):
     (lambda: build_profile(_dec(3), np.ones(4)), DimensionMismatchError,
      "data vector has length 4, expected 3"),
     (lambda: DenseOperator(np.ones(3)), DimensionMismatchError, "nonempty matrix"),
-    (lambda: DSMConfig(max_steps=0), ConfigError, "max_steps must be positive"),
-    (lambda: DSMConfig(trajectory_points=1), ConfigError, "at least 2"),
     (lambda: NoiseSpec(0.0, 1), PreconditionError, "delta must be positive"),
     (lambda: NoiseSpec(float("nan"), 1), PreconditionError, "delta must be positive"),
     (lambda: _profile(coefficients=np.ones(3)), DimensionMismatchError, "matching 1-D"),
@@ -94,15 +98,15 @@ def _overflowing_profile(noise=False):
     # this grid reported admissible=True
     (lambda: PowerLawSchedule().admissibility_report([10.0, np.nan, 1e3, 1e4]),
      PreconditionError, "positive and strictly ascending"),
-    # these reached an untyped TypeError from linspace or geomspace
-    (lambda: DSMConfig(trajectory_points=np.nan), ConfigError, "an integer at least 2"),
-    (lambda: DSMConfig(trajectory_points=np.inf), ConfigError, "an integer at least 2"),
-    (lambda: DSMConfig(trajectory_points=2.5), ConfigError, "an integer at least 2"),
-    (lambda: DSMConfig(trajectory_points=True), ConfigError, "an integer at least 2"),
     # the data norm overflowed with a RuntimeWarning before the profile refused it
     (lambda: _overflowing_profile(noise=True), PreconditionError, "both finite"),
+    # the C = 1 dust norms of that data are taken with no overflow warning
+    (_overflowing_run, PreconditionError, "both finite"),
+    # the Python-float cube at the search bracket's end, 1e104, overflows
+    (lambda: near_minimize(*cubic_separable_problem(2, 1.0, [1e30, 1.0]), 1e-14, 1e-6),
+     NumericalError, "coordinate 0 overflows on its search bracket"),
 ], ids=["as_vector_2d", "as_vector_empty", "as_vector_nan", "data_length",
-        "dense_operator_1d", "max_steps_0", "trajectory_points_1", "noise_delta_0",
+        "dense_operator_1d", "noise_delta_0",
         "noise_delta_nan", "profile_shapes", "profile_negative_lambda", "profile_nan_lambda",
         "profile_empty",
         "profile_zero_data_norm", "profile_nan_null_mass", "profile_inf_data_norm",
@@ -112,9 +116,8 @@ def _overflowing_profile(noise=False):
         "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
         "nonlinear_data_length", "cubic_reference_length", "schedule_derivative_negative_t",
         "schedule_invert_overflow", "schedule_eval_nan_t", "schedule_eval_nan_in_array",
-        "schedule_derivative_nan_t", "admissibility_nan_grid", "trajectory_points_nan",
-        "trajectory_points_inf", "trajectory_points_float", "trajectory_points_bool",
-        "profile_overflowing_noisy_data"])
+        "schedule_derivative_nan_t", "admissibility_nan_grid", "profile_overflowing_noisy_data",
+        "run_dsm_overflowing_dust", "near_minimize_overflowing_map"])
 def test_refused_with_a_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -206,8 +209,6 @@ _SCALAR_ENTRY_POINTS = {
                                      ConfigError, "relative_tolerance must be positive"),
     "DSMConfig.absolute_tolerance": (lambda x: DSMConfig(absolute_tolerance=x),
                                      ConfigError, "absolute_tolerance must be positive"),
-    "DSMConfig.max_steps": (lambda x: DSMConfig(max_steps=x), ConfigError,
-                            "max_steps must be positive"),
     "gaussian_blur_problem.width": (lambda x: gaussian_blur_problem(8, x),
                                     PreconditionError, "width must lie in (0, 1)"),
     "cubic_separable_problem.coefficients": (
@@ -236,8 +237,3 @@ def test_seeds_are_integers(make, seed):
         make(seed)
     assert type(info.value) is PreconditionError
     assert "seed must be an integer" in str(info.value)
-
-
-@pytest.mark.parametrize("points", [np.int64(40), np.int32(2)], ids=["int64", "int32"])
-def test_trajectory_points_take_numpy_integers(points):
-    assert DSMConfig(trajectory_points=points).trajectory_points == points

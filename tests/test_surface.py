@@ -41,3 +41,9 @@ def test_noise_has_no_projection_switch_of_its_own():
     assert [f.name for f in dataclasses.fields(illposed.NoiseSpec)] == ["delta", "seed"]
     assert "ill_posedness" not in {f.name for f in dataclasses.fields(illposed.TestProblem)}
 
+
+
+def test_dsm_config_holds_the_tolerances_and_the_start_state():
+    # the report grid and the step budget are the integrator's own constants
+    assert [f.name for f in dataclasses.fields(illposed.DSMConfig)] == [
+        "relative_tolerance", "absolute_tolerance", "initial_state"]
