@@ -9,12 +9,13 @@ every output names the inputs that produced it; apart from the measured
 caller of ``main`` reuses up to four built linear problems; they are
 immutable, so a reused one gives the same bytes as a fresh build.
 
-This module alone defines the artifact schema; the library's results carry
-data and no serialization.  ``cmd_solve`` builds ``results.json``,
-``cmd_check_schedule`` builds ``schedule_report.json``,
-``_write_trajectory_csv`` writes ``trajectory*.csv`` (t, residual_norm,
-error_vs_reference, then state_0 ... state_{n-1} for ``solve``), and
-``_write_csv`` writes the convergence, nonlinear and scan-trace tables.
+This module alone defines the artifact schema and the errors against the
+known solution (``_scores`` for a linear run); the library's results carry
+neither.  ``cmd_solve`` builds ``results.json``, ``cmd_check_schedule``
+builds ``schedule_report.json``, ``_write_trajectory_csv`` writes
+``trajectory*.csv`` (t, residual_norm, error_vs_reference, then state_0 ...
+state_{n-1} for ``solve``), and ``_write_csv`` writes the convergence,
+nonlinear and scan-trace tables.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .dsm import DSMConfig, run_dsm
 from .errors import ConfigError, IllposedError, PreconditionError
 from .nonlinear import nonlinear_discrepancy_result
-from .operators import _positive
+from .operators import _norm, _positive
 from .problems import (NoiseSpec, TestProblem, add_noise, cubic_separable_problem,
                        gaussian_blur_problem, hilbert_problem, identity_problem,
                        rank_deficient_problem)
@@ -223,7 +224,7 @@ def build_nonlinear_problem(cfg: ExperimentConfig):
 
 
 def _check_deltas(deltas, f_exact) -> None:
-    fnorm = float(np.linalg.norm(f_exact))
+    fnorm = _norm(f_exact)
     for d in deltas:
         if d >= fnorm:
             raise ConfigError(f"delta = {d} is not below the exact data norm {fnorm}")
@@ -278,8 +279,14 @@ def _noisy_run(cfg: ExperimentConfig, prob: TestProblem, delta: float, seed: int
     if cfg.noise:
         f_delta = add_noise(f_delta, dec if cfg.in_range_closure else None,
                             NoiseSpec(delta, seed))
-    return run_dsm(dec, cfg.schedule, f_delta, delta, cfg.C, cfg.dsm_config,
-                   y_reference=prob.y_reference)
+    return run_dsm(dec, cfg.schedule, f_delta, delta, cfg.C, cfg.dsm_config)
+
+
+def _scores(result, y: np.ndarray) -> dict:
+    """A linear run against the known solution ``y``, by ``results.json`` key."""
+    return {"error_vs_reference": float(np.linalg.norm(result.u_final - y)),
+            "tikhonov_error_vs_reference": float(np.linalg.norm(result.w_final - y)),
+            "norm_ratio": float(np.linalg.norm(result.w_final)) / float(np.linalg.norm(y))}
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
@@ -302,10 +309,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool,
         "iterations": result.stopping.iterations,
         "residual": result.residual,
         "projected_null_mass": result.projected_null_mass,
-        "error_vs_reference": result.error_vs_reference,
-        "tikhonov_error_vs_reference": result.tikhonov_error_vs_reference,
-        "norm_ratio": float(np.linalg.norm(result.w_final))
-                      / float(np.linalg.norm(prob.y_reference)),
+        **_scores(result, prob.y_reference),
         "u_final": result.u_final.tolist(),
     })
     if store_trajectory:
@@ -325,7 +329,6 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
     _check_deltas(cfg.delta_sequence, prob.f_exact)
     out_dir.mkdir(parents=True, exist_ok=True)
     y = prob.y_reference
-    y_norm = float(np.linalg.norm(y))
 
     rows = []
     for k, delta in enumerate(cfg.delta_sequence):
@@ -342,9 +345,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, store_trajectory: bool
             _fmt(result.stopping.epsilon_star),
             _fmt(result.stopping.t_delta),
             _fmt(result.residual),
-            _fmt(result.error_vs_reference),
-            _fmt(result.tikhonov_error_vs_reference),
-            _fmt(np.linalg.norm(result.w_final) / y_norm),
+            *map(_fmt, _scores(result, y).values()),
             _fmt(elapsed),
             "",
         ])

@@ -29,6 +29,7 @@ independent Runge-Kutta oracle in the original coordinates.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
                           stop_from_profile)
 from .errors import (ConfigError, DimensionMismatchError, IllposedError,
                      NumericalError, PreconditionError)
-from .operators import (SpectralDecomposition, _frozen, _positive, _sized, as_vector,
-                        project_range_closure, regularized_normal_solve)
+from .operators import (SpectralDecomposition, _frozen, _positive, _sized, _spectral_solve,
+                        as_vector)
 from .schedule import Schedule
 
 # Weight e^{-tau} below e^{-60} ~ 9e-27 is droppable at double precision.
@@ -116,22 +117,25 @@ class DSMResult:
     ``w_final`` is the regularized normal-equation solution at the
     stopping regularization strength (the equilibrium the evolution
     tracks); ``trajectory`` is the path from 0 to the stopping time
-    (the start state alone when that time is 0); the reference-error
-    fields are filled when the true solution is known.
+    (the start state alone when that time is 0), whose last row is
+    ``u_final`` and ``residual``.
     """
 
     stopping: StoppingResult
-    u_final: np.ndarray
-    residual: float
     w_final: np.ndarray
     trajectory: Trajectory
-    error_vs_reference: float | None = None
-    tikhonov_error_vs_reference: float | None = None
     projected_null_mass: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "u_final", _frozen(self.u_final))
         object.__setattr__(self, "w_final", _frozen(self.w_final))
+
+    @property
+    def u_final(self) -> np.ndarray:
+        return self.trajectory.states[-1]
+
+    @property
+    def residual(self) -> float:
+        return float(self.trajectory.residual_norms[-1])
 
 
 def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
@@ -353,30 +357,26 @@ def _add_by_gap(total: np.ndarray, values: np.ndarray, gap: np.ndarray, mask) ->
 
 
 def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
-            delta: float, C: float = 1.0, cfg: DSMConfig | None = None,
-            y_reference=None) -> DSMResult:
+            delta: float, C: float = 1.0, cfg: DSMConfig | None = None) -> DSMResult:
     """Full pipeline: profile, discrepancy root, stopping time, evolution.
 
     On C = 1 runs against a rank-deficient operator the data must be
-    orthogonal to the adjoint's null space; numerically tiny residue is
-    projected away and reported in ``projected_null_mass``, anything
-    larger is rejected (use C > 1 for data with genuine null-space
-    content).
+    orthogonal to the adjoint's null space; numerically tiny residue (the
+    profile's null mass) is projected away and reported in
+    ``projected_null_mass``, anything larger is rejected (use C > 1 for
+    data with genuine null-space content).
     """
     cfg = cfg or DSMConfig()
     f = _sized(f_delta, dec.rows)
-    y = None if y_reference is None else _sized(y_reference, dec.cols, "reference solution")
 
     with _stage("projection"):
-        f_used, projected_null = f, 0.0
+        profile, projected_null = build_profile(dec, f), 0.0
         if C == 1.0 and dec.numerical_rank < dec.rows:
-            f_used = project_range_closure(dec, f)
-            d = f - f_used
-            projected_null = float(np.vdot(d, d))  # vdot: inf on overflow, no warning
-            if projected_null > _NULL_DUST_REL * float(np.vdot(f, f)):
+            projected_null = profile.null_mass
+            if projected_null > _NULL_DUST_REL * profile.data_norm_sq:
                 raise PreconditionError(
                     "data has null-space component; project f_delta or increase C")
-        profile = build_profile(dec, f_used)
+            profile = build_profile(dec, dec.left_vectors.dot(profile.coefficients))
 
     with _stage("discrepancy"):
         stopping = stop_from_profile(profile, schedule, delta, C)
@@ -388,31 +388,17 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
         else:
             trajectory = evolve(dec, schedule, profile, stopping.t_delta, cfg)
 
-    u_final = trajectory.states[-1]
-    residual = float(trajectory.residual_norms[-1])
-    w_final = regularized_normal_solve(dec, stopping.epsilon_star, f_used)
-
-    error = tikh_error = None
-    if y is not None:
-        error = float(np.linalg.norm(u_final - y))
-        tikh_error = float(np.linalg.norm(w_final - y))
-
-    return DSMResult(stopping=stopping, u_final=u_final, residual=residual,
-                     w_final=w_final, trajectory=trajectory, error_vs_reference=error,
-                     tikhonov_error_vs_reference=tikh_error,
+    return DSMResult(stopping=stopping, trajectory=trajectory,
+                     w_final=_spectral_solve(dec, stopping.epsilon_star, profile.coefficients),
                      projected_null_mass=projected_null)
 
 
-class _stage:
+@contextmanager
+def _stage(name: str):
     """Tag escaping library errors with the pipeline stage that failed."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, IllposedError) and exc.stage is None:
-            exc.stage = self.name
-        return False
+    try:
+        yield
+    except IllposedError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError, PreconditionError
-from .operators import _frozen, _positive, _sized
+from .operators import _frozen, _norm, _positive, _sized
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCALAR_MAX_ITER = 600
@@ -93,14 +93,7 @@ def _near_minimizer(op, f: np.ndarray, eps: float, u: np.ndarray,
     r = op(u) - f
     return NearMinimizer(u=u, F_value=float(r @ r + eps * (u @ u)),
                          gap_certificate=gap_certificate, epsilon=eps,
-                         residual=float(np.linalg.norm(r)))
-
-
-def _search_radius(f_norm_plus_a0: float, eps: float) -> float:
-    # Any minimizer satisfies eps ||u||^2 <= ||A(0) - f||^2 <= (||f|| + ||A(0)||)^2,
-    # so |u_i| <= S / sqrt(eps); the larger S / eps + 1 is kept for small eps.
-    S = f_norm_plus_a0
-    return max(S / eps + 1.0, S / math.sqrt(eps) + 1.0)
+                         residual=_norm(r))
 
 
 def _coordinate_lower_bound(xa: float, xb: float, phia: float, phib: float,
@@ -160,15 +153,20 @@ def near_minimize(op: SeparableMonotoneOperator, f_delta, eps: float,
     the shares' sum is the point's certificate.  Any other operator raises
     PreconditionError.  A coordinate whose share is out of reach raises
     NumericalError carrying the point so far, whose certificate exceeds
-    the budget; one whose map overflows on the search bracket raises
-    NumericalError naming it and eps.
+    the budget; one whose map or search radius overflows raises
+    NumericalError naming eps (and the coordinate).
     """
     _require_separable(op)
     _positive(gap_budget, "gap_budget")
     _positive(eps, "eps")
     f = _sized(f_delta, op.dimension)
     a0 = op(np.zeros(op.dimension))
-    radius = _search_radius(float(np.linalg.norm(f) + np.linalg.norm(a0)), eps)
+    # Any minimizer satisfies eps ||u||^2 <= ||A(0) - f||^2 <= (||f|| + ||A(0)||)^2,
+    # so |u_i| <= S / sqrt(eps); the larger S / eps + 1 is kept for small eps.
+    S = _norm(f) + _norm(a0)
+    radius = max(S / eps + 1.0, S / math.sqrt(eps) + 1.0)
+    if not radius < math.inf:
+        raise NumericalError(f"search radius overflows at eps = {eps}")
     per_coord = gap_budget / op.dimension
     u = np.zeros(op.dimension)
     total_cert = 0.0
@@ -232,7 +230,7 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
     _positive(delta, "delta")
     f = _sized(f_delta, op.dimension)
     target = C * delta
-    residual_zero = float(np.linalg.norm(op(np.zeros(op.dimension)) - f))
+    residual_zero = _norm(op(np.zeros(op.dimension)) - f)
     if residual_zero <= target:
         raise PreconditionError(
             f"||A(0) - f_delta|| = {residual_zero} must exceed C*delta = {target}")
@@ -264,7 +262,7 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
             hi = mid
 
     nm, theta = cache[hi], None
-    tolerance = 1e-9 * float(np.linalg.norm(f))
+    tolerance = 1e-9 * _norm(f)
     if abs(nm.residual - target) > tolerance:
         nm, theta = _continue_across(op, f, cache[lo], nm, target, tolerance)
         if abs(nm.residual - target) > tolerance or not 0.0 <= nm.gap_certificate <= budget:

@@ -61,6 +61,11 @@ def _positive(value, name: str, error=PreconditionError) -> None:
         raise error(f"{name} must be positive, got {value}")
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||, the bits of ``np.linalg.norm``; inf on overflow, with no warning."""
+    return math.sqrt(np.vdot(x, x))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` if it is a read-only float array owning its data, else a read-only float copy."""
     if not (isinstance(a, np.ndarray) and a.dtype == float
@@ -161,9 +166,12 @@ def regularized_normal_solve(dec: SpectralDecomposition, eps: float, f) -> np.nd
     terms are at most s_i / eps times the data's component on u_i.
     """
     _positive(eps, "eps")
-    v = _sized(f, dec.rows)
-    coef = dec.singular_values * dec.left_vectors.T.dot(v)
-    return dec.right_vectors.dot(coef / np.add(dec.lambdas, eps))
+    return _spectral_solve(dec, eps, dec.left_vectors.T.dot(_sized(f, dec.rows)))
+
+
+def _spectral_solve(dec: SpectralDecomposition, eps: float, g: np.ndarray) -> np.ndarray:
+    """sum_i s_i g_i / (s_i^2 + eps) v_i for the data coefficients g = U_r^T f."""
+    return dec.right_vectors.dot(dec.singular_values * g / np.add(dec.lambdas, eps))
 
 
 def regularized_normal_solve_direct(A: DenseOperator, eps: float, f) -> np.ndarray:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .nonlinear import SeparableMonotoneOperator
-from .operators import (DenseOperator, SpectralDecomposition, _frozen, _positive, _sized,
-                        as_vector, decompose, normalize, project_range_closure)
+from .operators import (DenseOperator, SpectralDecomposition, _frozen, _norm, _positive,
+                        _sized, as_vector, decompose, normalize, project_range_closure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +137,7 @@ def cubic_separable_problem(n: int, coefficients, y) -> tuple[SeparableMonotoneO
     """Coordinatewise strictly monotone operator A(u)_i = a_i u_i + u_i^3.
 
     Returns the operator and f = A(y); y is the unique solution of
-    A(u) = f, hence minimal-norm.
+    A(u) = f, hence minimal-norm.  An f that overflows is refused.
     """
     if not 1 <= n <= 256:
         raise PreconditionError(f"n must lie in [1, 256], got {n}")
@@ -149,9 +149,14 @@ def cubic_separable_problem(n: int, coefficients, y) -> tuple[SeparableMonotoneO
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise PreconditionError("cubic coefficients must be positive and finite")
     yv = _sized(y, n, "reference solution")
-    phis = tuple((lambda x, ai=ai: ai * x + x ** 3) for ai in a)
-    op = SeparableMonotoneOperator(phis)
-    return op, op(yv)
+    phis = tuple((lambda x, ai=ai: ai * x + x ** 3) for ai in a.tolist())
+    try:  # on Python floats, whose cube raises OverflowError rather than warning
+        f = np.array([phi(x) for phi, x in zip(phis, yv.tolist())])
+    except OverflowError:
+        f = None
+    if f is None or np.count_nonzero(np.isfinite(f)) != n:  # or a_i y_i is past the range
+        raise PreconditionError("cubic data A(y) overflows: y or the coefficients are too large")
+    return SeparableMonotoneOperator(phis), f
 
 
 def add_noise(f_exact, dec: SpectralDecomposition | None,
@@ -164,14 +169,14 @@ def add_noise(f_exact, dec: SpectralDecomposition | None,
     projected draw triggers a redraw with seed+1, at most 8 retries.
     """
     f = as_vector(f_exact, "exact data")
-    if spec.delta >= math.sqrt(np.vdot(f, f)):  # vdot: inf on overflow, no warning
+    if spec.delta >= _norm(f):
         raise PreconditionError(
             f"delta = {spec.delta} must be smaller than the exact data norm")
     for attempt in range(9):
         e = np.random.default_rng(spec.seed + attempt).standard_normal(f.shape[0])
         if dec is not None:
             e = project_range_closure(dec, e)
-        norm_e = math.sqrt(np.vdot(e, e))
+        norm_e = _norm(e)
         if norm_e > 1e-8:
             return f + (spec.delta / norm_e) * e
     raise NumericalError("noise direction degenerated after 8 redraws")

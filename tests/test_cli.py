@@ -93,8 +93,7 @@ def seeded_blur_trajectory(request):
     n, delta = request.param
     prob = gaussian_blur_problem(n, 0.05)
     f = add_noise(prob.f_exact, prob.decomposition, NoiseSpec(delta, 7))
-    result = run_dsm(prob.decomposition, default_schedule(), f, delta,
-                     y_reference=prob.y_reference)
+    result = run_dsm(prob.decomposition, default_schedule(), f, delta)
     return result.trajectory, prob.y_reference
 
 
@@ -122,7 +121,7 @@ def blur_solve(tmp_path_factory):
     prob = gaussian_blur_problem(64, 0.05)
     dec = prob.decomposition
     f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 7))
-    direct = run_dsm(dec, default_schedule(), f, 1e-2, y_reference=prob.y_reference)
+    direct = run_dsm(dec, default_schedule(), f, 1e-2)
     return result, rows, direct
 
 
@@ -317,6 +316,21 @@ class TestSolve:
         assert rows[0][:2] == ["t", "residual_norm"]
         assert float(rows[1][0]) == 0.0
 
+    def test_zero_stopping_time(self, tmp_path):
+        # delta 0.5 on unit data puts the root at eps(0): the run stops at the
+        # zero start state, which the CLI scores against y = f
+        path = write_config(tmp_path, delta=0.5, noise=False)
+        assert main(["solve", "--config", str(path), "--quiet",
+                     "--store-trajectory"]) == EXIT_OK
+        result = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert result["t_delta"] == 0.0
+        assert result["u_final"] == [0.0] * 4
+        y_norm = float(np.linalg.norm(identity_problem(4).y_reference))
+        assert result["error_vs_reference"] == y_norm == 1.0
+        rows = read_csv(tmp_path / "out" / "trajectory.csv")
+        assert len(rows) == 2
+        assert [float(cell) for cell in rows[1][:3]] == [0.0, result["residual"], y_norm]
+
     def test_missing_delta(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path), "--quiet"]) == EXIT_CONFIG
@@ -431,6 +445,24 @@ class TestNonlinear:
         rows = read_csv(tmp_path / "out" / "nonlinear.csv")
         assert rows[1:] == [["0.001", "", "", "", "", "coordinate 0 overflows on its search "
                              "bracket [-1e+104, 1e+104] at eps = 1e-14"]]
+
+    def test_overflowing_data_norm_is_a_failure_row(self, tmp_path):
+        # ||f|| = 1e180: its square overflows, with no warning, to a search
+        # radius the row refuses by eps
+        path = write_config(tmp_path, problem={"name": "cubic", "n": 2, "y": [1e60, 1.0]},
+                            C=1.5, delta_sequence=[1e-3])
+        assert main(["nonlinear", "--config", str(path), "--quiet"]) == EXIT_OK
+        rows = read_csv(tmp_path / "out" / "nonlinear.csv")
+        assert rows[1:] == [["0.001", "", "", "", "", "search radius overflows at eps = 1e-14"]]
+
+    def test_overflowing_data_is_refused_at_build(self, tmp_path, capsys):
+        path = write_config(tmp_path, problem={"name": "cubic", "n": 2, "y": [1e200, 1.0]},
+                            C=1.5, delta_sequence=[1e-3])
+        assert main(["nonlinear", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"] == ("problem parameters invalid: cubic data A(y) overflows: "
+                                  "y or the coefficients are too large")
+        assert not (tmp_path / "out").exists()
 
     def test_requires_c_above_one(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "cubic", "n": 4},

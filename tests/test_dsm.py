@@ -739,9 +739,8 @@ class TestRunDSM:
         # noise-free data with a tiny claimed bound: the solution is the data
         prob = identity_problem(4)
         dec = prob.decomposition
-        res = run_dsm(dec, default_schedule(), prob.f_exact, 1e-8,
-                      y_reference=prob.y_reference)
-        assert res.error_vs_reference <= 1e-4
+        res = run_dsm(dec, default_schedule(), prob.f_exact, 1e-8)
+        assert np.linalg.norm(res.u_final - prob.y_reference) <= 1e-4
 
     def test_residual_recomputation(self, hilbert8):
         prob, dec = hilbert8
@@ -775,8 +774,7 @@ class TestRunDSM:
         y_norm = np.linalg.norm(prob.y_reference)
         for k, delta in enumerate([1e-1, 1e-2, 1e-3]):
             f = add_noise(prob.f_exact, dec, NoiseSpec(delta, 60 + k))
-            res = run_dsm(dec, default_schedule(), f, delta,
-                          y_reference=prob.y_reference)
+            res = run_dsm(dec, default_schedule(), f, delta)
             assert np.linalg.norm(res.w_final) <= y_norm * (1.0 + 1e-10)
 
     def test_equilibrium_tracking(self, gauss32):
@@ -796,12 +794,20 @@ class TestRunDSM:
     def test_bit_reproducible(self, hilbert8):
         prob, dec = hilbert8
         f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 8))
-        r1 = run_dsm(dec, default_schedule(), f, 1e-2, y_reference=prob.y_reference)
-        r2 = run_dsm(dec, default_schedule(), f, 1e-2, y_reference=prob.y_reference)
+        r1 = run_dsm(dec, default_schedule(), f, 1e-2)
+        r2 = run_dsm(dec, default_schedule(), f, 1e-2)
         assert r1.stopping == r2.stopping
         assert np.array_equal(r1.u_final, r2.u_final)
         assert np.array_equal(r1.w_final, r2.w_final)
         assert r1.residual == r2.residual
+
+    def test_last_state_is_the_trajectory_row(self, hilbert8):
+        prob, dec = hilbert8
+        f = add_noise(prob.f_exact, dec, NoiseSpec(1e-2, 8))
+        res = run_dsm(dec, default_schedule(), f, 1e-2)
+        assert np.shares_memory(res.u_final, res.trajectory.states)
+        assert not res.u_final.flags.writeable
+        assert res.residual == res.trajectory.residual_norms[-1]
 
     def test_a_schedule_needs_only_eval_and_invert(self, gauss32):
         class Delegating(Schedule):

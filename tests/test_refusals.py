@@ -70,8 +70,6 @@ def _overflowing_run():
     (lambda: evolve(_dec(3), default_schedule(), np.ones(3), 1.0,
                     DSMConfig(initial_state=np.zeros(4))),
      DimensionMismatchError, "initial state has length 4, expected 3"),
-    (lambda: run_dsm(_dec(3), default_schedule(), np.ones(3), 0.5, y_reference=np.ones(1)),
-     DimensionMismatchError, "reference solution has length 1, expected 3"),
     (lambda: near_minimize(_cubic(), np.ones(3), 0.0, 1e-6), PreconditionError,
      "eps must be positive"),
     (lambda: near_minimize(_cubic(), np.ones(4), 0.1, 1e-6), DimensionMismatchError,
@@ -105,19 +103,29 @@ def _overflowing_run():
     # the Python-float cube at the search bracket's end, 1e104, overflows
     (lambda: near_minimize(*cubic_separable_problem(2, 1.0, [1e30, 1.0]), 1e-14, 1e-6),
      NumericalError, "coordinate 0 overflows on its search bracket"),
+    # ||f|| = 1e180 squares past the float range, with no warning
+    (lambda: near_minimize(*cubic_separable_problem(2, 1.0, [1e60, 1.0]), 1e-14, 1e-6),
+     NumericalError, "search radius overflows at eps = 1e-14"),
+    # the cube 1e600, and then the linear term 1e310, past the float range
+    (lambda: cubic_separable_problem(2, 1.0, [1e200, 1.0]), PreconditionError,
+     "cubic data A(y) overflows"),
+    (lambda: cubic_separable_problem(2, [1e300, 1.0], [1e10, 1.0]), PreconditionError,
+     "cubic data A(y) overflows"),
 ], ids=["as_vector_2d", "as_vector_empty", "as_vector_nan", "data_length",
         "dense_operator_1d", "noise_delta_0",
         "noise_delta_nan", "profile_shapes", "profile_negative_lambda", "profile_nan_lambda",
         "profile_empty",
         "profile_zero_data_norm", "profile_nan_null_mass", "profile_inf_data_norm",
         "profile_nan_coefficient", "profile_overflowing_data", "profile_zero_lambdas",
-        "evolve_profile_length", "evolve_initial_state_length", "run_dsm_reference_length",
+        "evolve_profile_length", "evolve_initial_state_length",
         "near_minimize_eps_0", "near_minimize_data_length", "separable_no_maps",
         "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
         "nonlinear_data_length", "cubic_reference_length", "schedule_derivative_negative_t",
         "schedule_invert_overflow", "schedule_eval_nan_t", "schedule_eval_nan_in_array",
         "schedule_derivative_nan_t", "admissibility_nan_grid", "profile_overflowing_noisy_data",
-        "run_dsm_overflowing_dust", "near_minimize_overflowing_map"])
+        "run_dsm_overflowing_dust", "near_minimize_overflowing_map",
+        "near_minimize_overflowing_radius", "cubic_overflowing_cube",
+        "cubic_overflowing_linear_term"])
 def test_refused_with_a_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
