@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import illposed.cli as cli
 from illposed import (NoiseSpec, Trajectory, add_noise, cubic_separable_problem,
                       default_schedule, gaussian_blur_problem, hilbert_problem,
                       identity_problem, rank_deficient_problem, run_dsm)
@@ -44,7 +48,10 @@ def read_csv(path):
 # histories keep matching; the reference column is always written
 @pytest.mark.parametrize("include_state", [True, False], ids=["True-True", "True-False"])
 def test_trajectory_csv_matches_csv_writer(tmp_path, include_state):
-    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-8]
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-8,
+               2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 9999999999999998.0,
+               0.0001, 9.999999999999999e-05, 0.3, 1e22, 1e23, 123456789012345680.0, 100.0,
+               1.5 * 2.0**-1022]
     states = np.array([special[k:] + special[:k] for k in range(3)])
     traj = Trajectory(times=np.array([0.0, 5e-324, 1e300]),
                       residual_norms=np.array([np.nan, -0.0, np.inf]), states=states)
@@ -55,7 +62,9 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, include_state):
     header += [f"state_{i}" for i in range(len(special))] if include_state else []
     rows = []
     for t, res, state in zip(traj.times, traj.residual_norms, states):
-        row = [repr(float(t)), repr(float(res)), repr(float(np.linalg.norm(state - y)))]
+        with np.errstate(over="ignore"):  # 1.7976931348623157e308 squared
+            norm = np.linalg.norm(state - y)
+        row = [repr(float(t)), repr(float(res)), repr(float(norm))]
         if include_state:
             row += [repr(float(v)) for v in state]
         rows.append(row)
@@ -106,6 +115,44 @@ def test_trajectory_csv_matches_the_reference_writer(tmp_path, seeded_blur_traje
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, include_state)
     _reference_trajectory_csv(tmp_path / "ref.csv", "abc", traj, y, include_state)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_trajectory_csv_without_extended_precision(tmp_path, monkeypatch,
+                                                   seeded_blur_trajectory):
+    # where long double is not the x87 format, every cell is a repr
+    def refused(*args):
+        raise AssertionError("digits derived without extended precision")
+    monkeypatch.setattr(cli, "_EXTENDED", False)
+    monkeypatch.setattr(cli, "_shortest_digits", refused)
+    traj, y = seeded_blur_trajectory
+    _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, True)
+    _reference_trajectory_csv(tmp_path / "ref.csv", "abc", traj, y, True)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@st.composite
+def _float_rows(draw, cells):
+    """One or two rows of 1 to 300 cells."""
+    width = draw(st.integers(1, 300))
+    values = np.array(draw(st.lists(cells, min_size=width, max_size=2 * width)), np.float64)
+    return values[:values.size // width * width].reshape(-1, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_float_rows(st.floats()),
+                 _float_rows(st.integers(0, 2**64 - 1).map(
+                     lambda bits: float(np.array(bits, np.uint64).view(np.float64))))))
+def test_rendered_rows_are_the_reprs(rows):
+    expected = "".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+    assert cli._render_rows(rows) == expected.encode("ascii")
+
+
+@pytest.mark.skipif(not cli._EXTENDED, reason="the table serves the x87 long double only")
+def test_powers_of_ten_are_within_half_an_extended_ulp():
+    # the margins of the rendered digits rest on this bound
+    for j, power in zip(range(-400, 400), cli._powers_of_ten()):
+        exact = Fraction(10) ** j
+        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= exact / 2**64, j
 
 
 @pytest.fixture(scope="module")
