@@ -117,9 +117,13 @@ class PowerLawSchedule(Schedule):
             raise PreconditionError("t_grid must be a nonempty 1-D array")
         if not (np.all(ts > 0) and np.all(np.diff(ts) > 0)):  # NaN too
             raise PreconditionError("t_grid must be positive and strictly ascending")
-        q = np.array([abs(self.derivative(t / 2.0)) * self.eval(t) ** -2.0 for t in ts])
-        r = np.array([math.exp(-t) / self.eval(t) if t < 745.0 else 0.0
-                      for t in ts])
+        try:
+            q = np.array([abs(self.derivative(t / 2.0)) * self.eval(t) ** -2.0 for t in ts])
+            r = np.array([math.exp(-t) / self.eval(t) if t < 745.0 else 0.0
+                          for t in ts])
+        except (ZeroDivisionError, OverflowError):  # eps(t)**-2 beyond the float range
+            raise NumericalError(f"eps(t) = {self.eval(ts[-1])} at t = {ts[-1]} is too small "
+                                 "for q(t) in double precision") from None
         tail = slice(len(ts) // 2, None)
         q_ok = _decaying(q[tail])
         r_ok = _decaying(r[tail])

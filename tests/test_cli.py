@@ -5,15 +5,12 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import illposed.cli as cli
+import illposed._csvtext as _csvtext
 from illposed import (NoiseSpec, Trajectory, add_noise, cubic_separable_problem,
                       default_schedule, gaussian_blur_problem, hilbert_problem,
                       identity_problem, rank_deficient_problem, run_dsm)
@@ -122,37 +119,12 @@ def test_trajectory_csv_without_extended_precision(tmp_path, monkeypatch,
     # where long double is not the x87 format, every cell is a repr
     def refused(*args):
         raise AssertionError("digits derived without extended precision")
-    monkeypatch.setattr(cli, "_EXTENDED", False)
-    monkeypatch.setattr(cli, "_shortest_digits", refused)
+    monkeypatch.setattr(_csvtext, "_EXTENDED", False)
+    monkeypatch.setattr(_csvtext, "_shortest_digits", refused)
     traj, y = seeded_blur_trajectory
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, True)
     _reference_trajectory_csv(tmp_path / "ref.csv", "abc", traj, y, True)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
-@st.composite
-def _float_rows(draw, cells):
-    """One or two rows of 1 to 300 cells."""
-    width = draw(st.integers(1, 300))
-    values = np.array(draw(st.lists(cells, min_size=width, max_size=2 * width)), np.float64)
-    return values[:values.size // width * width].reshape(-1, width)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_float_rows(st.floats()),
-                 _float_rows(st.integers(0, 2**64 - 1).map(
-                     lambda bits: float(np.array(bits, np.uint64).view(np.float64))))))
-def test_rendered_rows_are_the_reprs(rows):
-    expected = "".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
-    assert cli._render_rows(rows) == expected.encode("ascii")
-
-
-@pytest.mark.skipif(not cli._EXTENDED, reason="the table serves the x87 long double only")
-def test_powers_of_ten_are_within_half_an_extended_ulp():
-    # the margins of the rendered digits rest on this bound
-    for j, power in zip(range(-400, 400), cli._powers_of_ten()):
-        exact = Fraction(10) ** j
-        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= exact / 2**64, j
 
 
 @pytest.fixture(scope="module")
@@ -480,8 +452,19 @@ class TestNonlinear:
                             C=1.1, delta_sequence=[1e-1, 1e-2], seed=7)
         assert main(["nonlinear", "--config", str(path), "--quiet",
                      "--store-trajectory"]) == EXIT_OK
-        rows = read_csv(tmp_path / "out" / "scan_trace_0.csv")
-        assert rows[0] == ["epsilon", "h", "F_value", "gap_certificate"]
+        for k in range(2):
+            path = tmp_path / "out" / f"scan_trace_{k}.csv"
+            rows = read_csv(path)
+            assert rows[0] == ["epsilon", "h", "F_value", "gap_certificate"]
+            assert len(rows) > 2
+            # every cell is a float's repr: csv.writer over the reprs of the
+            # parsed cells gives the file back byte for byte
+            comment = path.read_bytes().split(b"\n")[0] + b"\n"
+            expected = io.StringIO()
+            writer = csv.writer(expected)
+            writer.writerow(rows[0])
+            writer.writerows([repr(float(v)) for v in row] for row in rows[1:])
+            assert path.read_bytes() == comment + expected.getvalue().encode("ascii")
 
     def test_overflowing_map_is_a_failure_row(self, tmp_path):
         # the Python-float cube at the search bracket's end, 1e104, overflows:
@@ -564,13 +547,16 @@ class TestCheckSchedule:
         src = str(Path(__file__).resolve().parents[1] / "src")
         paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-        path = write_config(tmp_path)
-        proc = subprocess.run([sys.executable, "-m", "illposed", "check-schedule",
-                               "--config", str(path)], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert "admissible" in proc.stdout
-        assert json.loads((tmp_path / "out" / "schedule_report.json").read_text())["admissible"]
+        # both documented entries: the package's __main__ and the cli module's
+        for module in ("illposed", "illposed.cli"):
+            path = write_config(tmp_path, output_dir=str(tmp_path / module))
+            proc = subprocess.run([sys.executable, "-m", module, "check-schedule",
+                                   "--config", str(path)], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert "admissible" in proc.stdout
+            report = json.loads((tmp_path / module / "schedule_report.json").read_text())
+            assert report["admissible"]
 
     @pytest.mark.parametrize("schedule, verdict, code", [
         ({}, "admissible, r(50)=1.377e-21", EXIT_OK),
@@ -581,6 +567,19 @@ class TestCheckSchedule:
         assert main(["check-schedule", "--config", str(path)]) == code
         c0 = schedule.get("c0", 1.0)
         assert capsys.readouterr().out == f"schedule c0={c0} c1=1.0 b=0.5: {verdict}\n"
+
+    # eps(t) underflows to 0, or eps(t)**-2 overflows: these exited 1 with a traceback
+    @pytest.mark.parametrize("schedule, eps", [
+        ({"c0": 1e300, "c1": 1e-300, "b": 0.5}, "0.0"),
+        ({"c1": 1e-200}, "9.999500037496875e-203"),
+    ], ids=["eps_underflow", "eps_square_overflow"])
+    def test_tiny_eps_is_a_numerical_error(self, tmp_path, capsys, schedule, eps):
+        path = write_config(tmp_path, schedule=schedule)
+        assert main(["check-schedule", "--config", str(path)]) == EXIT_NUMERICAL
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["code"], error["type"]) == (EXIT_NUMERICAL, "NumericalError")
+        assert error["message"].startswith(f"eps(t) = {eps} at t = 10000.0 is too small")
+        assert not (tmp_path / "out").exists()
 
     def test_b_near_one(self, tmp_path):
         path = write_config(tmp_path, schedule={"c0": 1.0, "c1": 1.0, "b": 0.99})

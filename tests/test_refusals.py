@@ -35,6 +35,10 @@ def _overflowing_profile(noise=False):
     return build_profile(dec, add_noise(f, dec, NoiseSpec(1e-2, 7)) if noise else f)
 
 
+# check-schedule's grid
+_CLI_GRID = [10.0, 100.0, 1000.0, 10000.0]
+
+
 def _overflowing_run():
     # the same data at C = 1: blur n = 64 keeps 51 of 64 triplets, so it is projected
     prob = gaussian_blur_problem(64, 0.05)
@@ -96,6 +100,12 @@ def _overflowing_run():
     # this grid reported admissible=True
     (lambda: PowerLawSchedule().admissibility_report([10.0, np.nan, 1e3, 1e4]),
      PreconditionError, "positive and strictly ascending"),
+    # eps(t) underflows to 0, or eps(t)**-2 overflows: these raised
+    # ZeroDivisionError and OverflowError on Python floats
+    (lambda: PowerLawSchedule(c0=1e300, c1=1e-300).admissibility_report(_CLI_GRID),
+     NumericalError, "eps(t) = 0.0 at t = 10000.0 is too small"),
+    (lambda: PowerLawSchedule(c1=1e-200).admissibility_report(_CLI_GRID), NumericalError,
+     "eps(t) = 9.999500037496875e-203 at t = 10000.0 is too small"),
     # the data norm overflowed with a RuntimeWarning before the profile refused it
     (lambda: _overflowing_profile(noise=True), PreconditionError, "both finite"),
     # the C = 1 dust norms of that data are taken with no overflow warning
@@ -122,7 +132,8 @@ def _overflowing_run():
         "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
         "nonlinear_data_length", "cubic_reference_length", "schedule_derivative_negative_t",
         "schedule_invert_overflow", "schedule_eval_nan_t", "schedule_eval_nan_in_array",
-        "schedule_derivative_nan_t", "admissibility_nan_grid", "profile_overflowing_noisy_data",
+        "schedule_derivative_nan_t", "admissibility_nan_grid", "admissibility_eps_underflow",
+        "admissibility_eps_square_overflow", "profile_overflowing_noisy_data",
         "run_dsm_overflowing_dust", "near_minimize_overflowing_map",
         "near_minimize_overflowing_radius", "cubic_overflowing_cube",
         "cubic_overflowing_linear_term"])
