@@ -114,13 +114,32 @@ def test_trajectory_csv_matches_the_reference_writer(tmp_path, seeded_blur_traje
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_trajectory_csv_without_extended_precision(tmp_path, monkeypatch,
-                                                   seeded_blur_trajectory):
-    # where long double is not the x87 format, every cell is a repr
-    def refused(*args):
-        raise AssertionError("digits derived without extended precision")
-    monkeypatch.setattr(_csvtext, "_EXTENDED", False)
-    monkeypatch.setattr(_csvtext, "_shortest_digits", refused)
+def test_trajectory_cells_are_certified(tmp_path, monkeypatch, seeded_blur_trajectory):
+    # the array digits write almost every trajectory cell; an exact tie
+    # between two candidate digit strings is left to repr
+    shortest_digits, cells = _csvtext._shortest_digits, []
+    def counted(a, significand):
+        digits, k, uncertain = shortest_digits(a, significand)
+        cells.append((a.size, int(uncertain.sum())))
+        return digits, k, uncertain
+    monkeypatch.setattr(_csvtext, "_shortest_digits", counted)
+    traj, y = seeded_blur_trajectory
+    _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, True)
+    known = np.concatenate([traj.times, traj.residual_norms, traj.states.ravel()])
+    powers_of_two = np.abs(np.frexp(known)[0]) == 0.5  # repr's, like the zeros
+    certified = sum(size for size, _ in cells)
+    assert certified >= np.count_nonzero(known) - powers_of_two.sum()
+    assert sum(uncertain for _, uncertain in cells) <= certified // 1000
+
+
+def test_trajectory_csv_through_the_repr_fallback(tmp_path, monkeypatch,
+                                                  seeded_blur_trajectory):
+    # every cell marked uncertain is written by repr itself
+    shortest_digits = _csvtext._shortest_digits
+    def uncertain(a, significand):
+        digits, k, _ = shortest_digits(a, significand)
+        return digits, k, np.ones(a.shape, bool)
+    monkeypatch.setattr(_csvtext, "_shortest_digits", uncertain)
     traj, y = seeded_blur_trajectory
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, True)
     _reference_trajectory_csv(tmp_path / "ref.csv", "abc", traj, y, True)

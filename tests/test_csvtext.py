@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +26,55 @@ def test_rendered_rows_are_the_reprs(rows):
     assert _csvtext.render_rows(rows) == expected.encode("ascii")
 
 
-@pytest.mark.skipif(not _csvtext._EXTENDED, reason="the table serves the x87 long double only")
-def test_powers_of_ten_are_within_half_an_extended_ulp():
-    # the margins of the rendered digits rest on this bound
-    for j, power in zip(range(-400, 400), _csvtext._tables()[0]):
+def _rendered_cells(values, width):
+    """``render_rows``'s cells and repr's for ``values`` in rows of ``width``."""
+    values = np.asarray(values, np.float64)
+    rows = values[:values.size // width * width].reshape(-1, width)
+    got = _csvtext.render_rows(rows).decode("ascii").split("\r\n")
+    expected = [",".join(map(repr, row)) for row in rows.tolist()]
+    return [r.split(",") for r in got[:-1]], [r.split(",") for r in expected]
+
+
+def _neighbours(x):
+    x = np.asarray(x, np.float64)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+_EDGE_CELLS = [
+    0.0, -0.0, np.nan, np.inf, -np.inf,
+    5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+    *_neighbours([_csvtext._LOW, _csvtext._HIGH]),
+    0.1 + 0.2, 1.7976931348623157e308, -1.7976931348623157e308,
+    *_neighbours([1e15, 1e16, 1e17, 9999999999999998.0, 123456789012345680.0,
+                  9.999999999999999e22, 1e23, 0.0001, 9.999999999999999e-05, 1e-05]),
+    # decimals that look halfway at 17 digits, and exact halves
+    0.12345678901234565, 1.0000000000000005, 9007199254740993.0, 1234567890123456.5,
+    1234567890123456.75, 12345678901234567.5, 4.35, 2.5, 0.5, 1.5, 2 / 3, 1 / 3,
+]
+
+
+def test_edge_cells_are_the_reprs():
+    got, expected = _rendered_cells(_EDGE_CELLS, 1)
+    assert got == expected
+    got, expected = _rendered_cells(_EDGE_CELLS, len(_EDGE_CELLS))
+    assert got == expected
+
+
+def test_powers_of_two_and_ten_and_their_neighbours_are_the_reprs():
+    twos = _neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+    tens = _neighbours(10.0 ** np.arange(-323, 309))
+    for values in (twos, tens, -tens):
+        got, expected = _rendered_cells(values, 64)
+        assert got == expected
+
+
+def test_power_of_ten_table_is_an_exact_double_double():
+    # the certified digits rest on these bounds
+    high, top, bottom, low = _csvtext._tables()[0]
+    for j, h, t, b, lo in zip(_csvtext._POWERS, high, top, bottom, low):
         exact = Fraction(10) ** j
-        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= exact / 2**64, j
+        assert abs(Fraction(h) + Fraction(lo) - exact) <= exact / 2**106, j
+        assert Fraction(t) + Fraction(b) == Fraction(h), j
+        for half in (t, b):
+            n = abs(Fraction(half)).numerator
+            assert n == 0 or (n // (n & -n)).bit_length() <= 26, (j, half)  # n's odd part
