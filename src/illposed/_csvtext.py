@@ -21,11 +21,12 @@ _BLOCK_CELLS = 4096  # per ``render_rows`` call: its temporaries stay near 1 MB
 _MANTISSA = (1 << 52) - 1
 _POWERS = range(-284, 309)  # 16 - k for the k of [_LOW, _HIGH), one either side
 _TEXT = 24  # the longest repr, "-2.2250738585072014e-308"
-# One character slot per row of the text matrix: 0 sign, 1-5 the "0.000" of
-# a fixed-notation value below 1e-1, 6-38 the 17 digits with a slot for a
-# point after each of the first 16, 39-43 the exponent "e-308", 44-45 the
-# separator.  A cell's text is its column with the NULs taken out.
-_WIDTH = 46
+# A cell's text is eight little-endian uint32 words, NUL where it prints
+# nothing: 0-1 the right-aligned head (sign, the "0.000" of a fixed-notation
+# value below 1, first digit, and a point after it), 2-5 digits 2-17, 6-7 the
+# right-aligned tail (exponent "e-308", separator).  A point among digits
+# 2-17 moves the digits after it a byte on, into word 6.  A block's text is
+# its cells' words in turn with the NULs taken out.
 
 
 def _halves(x: np.ndarray):
@@ -44,8 +45,12 @@ def _tables():
     0 ... 9999 as four digits in a uint32, at n + 10000 j with the digits
     from the j-th on NUL.  The trailing zeros of those four digits.  That
     j for each group of four of digits 2-17 (a row), by the digits printed.
-    By a cell's point p, at p + 400: the "0.000" prefix of a p in (-4, 0],
-    then outside fixed notation "e", sign and three slots of p - 1."""
+    By sign, case (0 no point after the first digit, 1 a point, 2-5 "0."
+    and 0-3 zeros before it) and first digit, the head's two words.  By
+    point p and row end, at p + 400 + 800 end, the tail's two words: "e",
+    sign and at least two digits of p - 1 outside fixed notation, then the
+    separator.  By p, the byte of 20 (a ".") or of 0-19 that each of 20
+    bytes takes to put a point after digit p."""
     high, low = [], []
     for e in _POWERS:
         num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
@@ -59,13 +64,18 @@ def _tables():
     quads = (np.array([(1 << 8 * j) - 1 for j in range(5)], "<u4")[:, None] & quads).ravel()
     zeros = sum(n % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
     kept = 10000 * np.clip(np.arange(18) - np.array([[1], [5], [9], [13]]), 0, 4)
-    p = np.arange(-400, 400)
-    e, small = abs(p - 1), (p > -4) & (p <= 0)
-    marks = np.stack([small * zero, small * ord("."), *((small & (p < -i)) * zero for i in range(3)),
-                      np.full(p.size, ord("e")), np.where(p < 1, ord("-"), ord("+")),
-                      np.where(e >= 100, zero + e // 100, 0), zero + e // 10 % 10, zero + e % 10])
-    marks[5:, (p > -4) & (p <= 16)] = 0
-    return np.array([high, *halves, low]), quads, zeros, kept, marks.astype(np.uint8)
+
+    def words(texts):  # each right-aligned in two words
+        text = "".join(t.rjust(8, "\0") for t in texts).encode("ascii")
+        return np.frombuffer(text, "<u4").reshape(-1, 2).T
+
+    heads = words(sign + head.format(d) for sign in ("", "-") for head in
+                  ("{}", "{}.", "0.{}", "0.0{}", "0.00{}", "0.000{}") for d in range(10))
+    tails = words(("" if -4 < p <= 16 else f"e{p - 1:+03d}") + end
+                  for end in (",", "\r\n") for p in range(-400, 400))
+    at, p = np.arange(20), np.arange(17)[:, None]
+    spread = np.where(at < p - 1, at, np.where(at == p - 1, 20, at - 1))
+    return np.array([high, *halves, low]), quads, zeros, kept, heads, tails, spread
 
 
 def _shortest_digits(a: np.ndarray, significand: np.ndarray):
@@ -117,7 +127,8 @@ def render_rows(block: np.ndarray) -> bytes:
     joined by "," and ended by the csv dialect's "\\r\\n".  Python's layout:
     fixed notation while the decimal point p (value 0.d1d2... 10**p) is in
     (-4, 16], as 0.000ddd, dd.ddd or ddd00.0, otherwise d.ddde+XX with no
-    point after a lone digit and at least two exponent digits."""
+    point after a lone digit and at least two exponent digits.  Each word
+    of the cells' layout is written a row at a time, over the block."""
     cells = block.size
     x = block.ravel()
     a = np.abs(x)
@@ -131,40 +142,38 @@ def render_rows(block: np.ndarray) -> bytes:
         a[some], (low_bits[some] | (1 << 52)).astype(float))
     point[some] = k + 1
     slow[some] |= uncertain
-    _, quads, zeros, kept, marks = _tables()
+    slow = np.flatnonzero(slow)
+    digits[slow], point[slow] = 0, 1  # laid out as "0.0," until repr's text
+    _, quads, zeros, kept, heads, tails, spread = _tables()
 
-    text = np.empty((_WIDTH, cells), np.uint8)
-    text[0] = np.signbit(x) * np.uint8(ord("-"))
-    text[1:6], text[39:44] = marks.take(point + 400, axis=1).reshape(2, 5, cells)
     groups = np.empty((4, cells), np.intp)  # digits 2-17, four at a time
     for i in (3, 2, 1, 0):
         higher = digits // 10000
         groups[i] = digits - 10000 * higher
-        digits = higher
-    text[6] = digits + ord("0")  # what the groups leave is the leading digit
+        digits = higher  # what the groups leave is the leading digit
     z = zeros.take(groups)  # 17 digits less the trailing zeros are printed
     count = 17 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])))
     fixed = (point > -4) & (point <= 16)
+    case = np.where(fixed, np.maximum(2 - point, 0), count > 1)
+    text = np.empty((8, cells), "<u4")
+    text[:2] = heads.take(digits + 10 * case + 60 * np.signbit(x), axis=1)
     # NUL past the last digit printed (a fixed-notation integer prints its
     # zeros up to the point and one after it)
     shown = np.where(fixed, np.maximum(count, point + 1), count)
-    quad = quads.take(groups + kept.take(shown, axis=1)).view(np.uint8).reshape(4, cells, 4)
-    text[8:40].reshape(4, 8, cells)[:, ::2] = quad.transpose(0, 2, 1)
-    text[7:39:2] = 0
-    after = np.where(fixed, point - 1, np.where(count > 1, 0, -1))  # the digit before "."
-    dots = np.flatnonzero(after >= 0)
-    text.ravel()[(7 + 2 * after[dots]) * cells + dots] = ord(".")
-    ends = slice(block.shape[1] - 1, None, block.shape[1])  # each row's last cell
-    text[44], text[45] = ord(","), 0
-    text[44, ends], text[45, ends] = ord("\r"), ord("\n")
-
-    slow = np.flatnonzero(slow)
+    text[2:6] = quads.take(groups + kept.take(shown, axis=1))
+    tail = point + 400
+    tail[block.shape[1] - 1::block.shape[1]] += 800  # each row's last cell
+    text[6:] = tails.take(tail, axis=1)
+    inner = np.flatnonzero(fixed & (point > 1))  # the point follows digit p of 2-16
+    if inner.size:  # words 2-6 and a "." word, each byte taken from its source
+        moved = np.empty((inner.size, 6), "<u4")
+        moved[:, :5], moved[:, 5] = text[2:7, inner].T, ord(".")
+        at = spread.take(point[inner], axis=0) + 24 * np.arange(inner.size)[:, None]
+        text[2:7, inner] = moved.view(np.uint8).take(at).view("<u4").T
     if slow.size:
         reprs = "".join(r.ljust(_TEXT, "\0") for r in map(repr, x[slow].tolist()))
-        text[:_TEXT, slow] = np.frombuffer(reprs.encode("ascii"), np.uint8).reshape(-1, _TEXT).T
-        text[_TEXT:-2, slow] = 0  # all but the separator
-    used = np.flatnonzero(text.max(axis=1, initial=0))  # the rows NUL in every cell are not copied
-    return text[used].T.tobytes().translate(None, b"\0")
+        text[:6, slow] = np.frombuffer(reprs.encode("ascii"), "<u4").reshape(-1, 6).T
+    return text.T.tobytes().translate(None, b"\0")
 
 
 def cell(x) -> str:

@@ -87,7 +87,7 @@ class ExperimentConfig:
     output_dir: str = "out"
     raw: dict
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]

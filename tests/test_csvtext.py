@@ -1,5 +1,6 @@
 """The float renderer behind every all-float CSV artifact writes repr's text."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -78,3 +79,54 @@ def test_power_of_ten_table_is_an_exact_double_double():
         for half in (t, b):
             n = abs(Fraction(half)).numerator
             assert n == 0 or (n // (n & -n)).bit_length() <= 26, (j, half)  # n's odd part
+
+
+def _printed_digits(r):
+    """The significant digits of a repr, without sign, point, leading and trailing zeros."""
+    return r.split("e")[0].lstrip("-").replace(".", "").strip("0")
+
+
+def test_every_point_and_digit_count_is_laid_out_as_repr():
+    # the decimal point p from -5 to 18 spans both sides of the fixed /
+    # scientific switch at -4 and 16; each value is a row's middle and last cell
+    digits = "12345678912345678"
+    grid = []
+    for p in range(-5, 19):
+        short = [float(f"0.{digits[:n]}e{p}") for n in range(1, 18)]
+        cells = _neighbours(short)
+        assert {len(_printed_digits(repr(c))) for c in cells.tolist()} == set(range(1, 18)), p
+        grid.extend(cells)
+    grid.extend([1.5e-100, 1.5e100, 1e-291, 9.99e299])
+    grid = np.concatenate([grid, np.negative(grid)])
+    rows = np.column_stack([np.full(grid.size, 0.5), grid, grid])
+    expected = "".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+    assert _csvtext.render_rows(rows) == expected.encode("ascii")
+
+
+def _log10_one_ulp_across(step):
+    """np.log10 that misses the power of ten 10**m next to a cell by one
+    ulp: ``step`` -1 gives the double just below m for a cell at or above
+    10**m, +1 gives m itself for a cell below it, so floor(log10) is one
+    too small or one too large."""
+    real = np.log10
+
+    def log10(a):
+        out = real(a)
+        m = np.round(out)
+        exact = np.array([Decimal(v).adjusted() for v in np.ravel(a).tolist()]).reshape(np.shape(a))
+        above = exact == m  # the cell is at least 10**m
+        if step < 0:
+            return np.where(above, np.nextafter(m, -np.inf), out)
+        return np.where(above, out, m)
+    return log10
+
+
+def test_cells_whose_log10_misses_a_power_of_ten_are_the_reprs(monkeypatch):
+    # the digit product's guards on s outside [1e16, 1e17) send these to repr
+    tens = 10.0 ** np.arange(-290, 300)
+    cells = np.concatenate([_neighbours(_neighbours(tens)), _neighbours(-tens)])
+    for step in (-1, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "log10", _log10_one_ulp_across(step))
+            got, expected = _rendered_cells(cells, 64)
+        assert got == expected, step
