@@ -17,7 +17,7 @@ import numpy as np
 # every platform, and leaves to ``repr`` NaN, the infinities, powers of
 # two, magnitudes outside [_LOW, _HIGH) and the rare uncertain cell.
 _LOW, _HIGH = 1e-291, 1e300  # 10**(16 - k) and its low part stay normal doubles
-_BLOCK_CELLS = 4096  # per ``render_rows`` call: its temporaries stay near 1 MB
+_BLOCK_CELLS = 12288  # per ``render_rows`` call, whose scratch peaks at 107-122 B a cell
 _MANTISSA = (1 << 52) - 1
 _POWERS = range(-284, 309)  # 16 - k for the k of [_LOW, _HIGH), one either side
 _TEXT = 24  # the longest repr, "-2.2250738585072014e-308"
@@ -63,7 +63,7 @@ def _tables():
     quads = sum((zero + n // 10 ** (3 - j) % 10) << 8 * j for j in range(4)).astype("<u4")
     quads = (np.array([(1 << 8 * j) - 1 for j in range(5)], "<u4")[:, None] & quads).ravel()
     zeros = sum(n % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
-    kept = 10000 * np.clip(np.arange(18) - np.array([[1], [5], [9], [13]]), 0, 4)
+    kept = 10000 * np.clip(np.arange(18, dtype=np.intp) - np.array([[1], [5], [9], [13]]), 0, 4)
 
     def words(texts):  # each right-aligned in two words
         text = "".join(t.rjust(8, "\0") for t in texts).encode("ascii")
@@ -78,11 +78,11 @@ def _tables():
     return np.array([high, *halves, low]), quads, zeros, kept, heads, tails, spread
 
 
-def _shortest_digits(a: np.ndarray, significand: np.ndarray):
+def _shortest_digits(a: np.ndarray, low_bits: np.ndarray):
     """repr's digits of each magnitude in ``a`` (in [_LOW, _HIGH) and not a
-    power of two), ``significand`` the 53-bit integer mantissas as floats:
-    a 17-digit integer padded with zeros, the decimal exponent k of the
-    leading digit, and a mask of the cells whose digits are uncertain.
+    power of two), ``low_bits`` their 52 stored mantissa bits: a 17-digit
+    integer padded with zeros, the decimal point k + 1 of the leading
+    digit's exponent k, and a mask of the cells whose digits are uncertain.
 
     s = a 10**(16 - k), k = floor(log10 a), is formed as p + r: p = fl(a H),
     and r is a H - p, exact by Dekker's product over the 26-bit halves of
@@ -98,28 +98,39 @@ def _shortest_digits(a: np.ndarray, significand: np.ndarray):
     every j above 1.  A comparison whose sides lie within 2m = 2**-39, an s
     within 2m of a tie (a multiple of 10 plus 5, an integer plus 0.5), and
     an s within 2 of 1e16 or 64 of 1e17 or outside [1e16, 1e17), where
-    log10 missed a power of ten, are uncertain."""
+    log10 missed a power of ten, are uncertain.  Each temporary is dropped
+    at its last use, to keep a block's peak low."""
     k = np.floor(np.log10(a)).astype(np.intp)
-    power, high, low, tail = _tables()[0].take(16 - _POWERS.start - k, axis=1)
-    p = a * power
+    row = 16 - _POWERS.start - k
+    table = _tables()[0]  # H, its two halves, L
+    p = a * table[0].take(row)
     ah, al = _halves(a)
-    r = ((ah * high - p) + ah * low + al * high) + al * low + a * tail
+    high, low = table[1].take(row), table[2].take(row)
+    r = ((ah * high - p) + ah * low + al * high) + al * low + a * table[3].take(row)
+    del row, ah, al, high, low
+    hg = p * 0.5 / (low_bits | 1 << 52).astype(np.float64)  # over the 53-bit significand
+    uncertain = (p < 1.0000000000000002e16) | (p >= 1e17 - 64)
     floor = np.floor(r)
     whole = p.astype(np.int64) + floor.astype(np.int64)  # p is an integer from 2**53 up
     frac = r - floor
-    hg = p * 0.5 / significand
-    tens, hundreds = whole // 10, whole // 100
+    del p, r, floor
+    digits = whole + (frac >= 0.5)
+    near = np.abs(frac - 0.5)
+    tens = whole // 10
     e10 = (whole - 10 * tens) + frac  # s above the multiple of 10 below it
-    e100 = (whole - 100 * hundreds) + frac
+    np.minimum(near, np.abs(e10 - 5), out=near)
     d10 = np.minimum(e10, 10 - e10)  # to the nearest multiple of 10
+    np.minimum(near, np.abs(d10 - hg), out=near)
+    digits = np.where(d10 < hg, 10 * (tens + (e10 >= 5)), digits)
+    del tens, e10, d10
+    hundreds = whole // 100
+    e100 = (whole - 100 * hundreds) + frac
     d100 = np.minimum(e100, 100 - e100)
-    near = np.minimum(np.minimum(np.abs(d10 - hg), np.abs(d100 - hg)),
-                      np.minimum(np.abs(e10 - 5), np.abs(frac - 0.5)))
-    uncertain = (near <= 2.0**-39) | (p < 1.0000000000000002e16) | (p >= 1e17 - 64)
-    digits = np.where(d10 < hg, 10 * (tens + (e10 >= 5)), whole + (frac >= 0.5))
+    np.minimum(near, np.abs(d100 - hg), out=near)
     deep = np.flatnonzero(d100 < hg)
     digits[deep] = 100 * (hundreds[deep] + (e100[deep] >= 50))
-    return digits, k, uncertain
+    uncertain |= near <= 2.0**-39
+    return digits, k + 1, uncertain
 
 
 def render_rows(block: np.ndarray) -> bytes:
@@ -134,14 +145,14 @@ def render_rows(block: np.ndarray) -> bytes:
     a = np.abs(x)
     low_bits = x.view(np.uint64) & _MANTISSA
     fast = (a >= _LOW) & (a < _HIGH) & (low_bits != 0)
-    slow = ~fast & (a != 0)
-    digits = np.zeros(cells, np.int64)  # +-0.0 and the cells left to repr: 0.0
-    point = np.ones(cells, np.intp)
-    some = slice(None) if fast.all() else fast  # most blocks take no gathers
-    digits[some], k, uncertain = _shortest_digits(
-        a[some], (low_bits[some] | (1 << 52)).astype(float))
-    point[some] = k + 1
-    slow[some] |= uncertain
+    if fast.all():  # nearly every block: no gathers or scatters
+        digits, point, slow = _shortest_digits(a, low_bits)
+    else:  # +-0.0 and the cells left to repr: 0.0
+        digits, point = np.zeros(cells, np.int64), np.ones(cells, np.intp)
+        slow = ~fast & (a != 0)
+        a, low_bits = a[fast], low_bits[fast]
+        digits[fast], point[fast], slow[fast] = _shortest_digits(a, low_bits)
+    del a, low_bits, fast
     slow = np.flatnonzero(slow)
     digits[slow], point[slow] = 0, 1  # laid out as "0.0," until repr's text
     _, quads, zeros, kept, heads, tails, spread = _tables()
@@ -154,13 +165,14 @@ def render_rows(block: np.ndarray) -> bytes:
     z = zeros.take(groups)  # 17 digits less the trailing zeros are printed
     count = 17 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])))
     fixed = (point > -4) & (point <= 16)
-    case = np.where(fixed, np.maximum(2 - point, 0), count > 1)
-    text = np.empty((8, cells), "<u4")
-    text[:2] = heads.take(digits + 10 * case + 60 * np.signbit(x), axis=1)
     # NUL past the last digit printed (a fixed-notation integer prints its
     # zeros up to the point and one after it)
-    shown = np.where(fixed, np.maximum(count, point + 1), count)
-    text[2:6] = quads.take(groups + kept.take(shown, axis=1))
+    groups += kept.take(np.where(fixed, np.maximum(count, point + 1), count), axis=1)
+    text = np.empty((8, cells), "<u4")
+    text[2:6] = quads.take(groups)
+    del groups
+    case = np.where(fixed, np.maximum(2 - point, 0), count > 1)
+    text[:2] = heads.take(digits + 10 * case + 60 * np.signbit(x), axis=1)
     tail = point + 400
     tail[block.shape[1] - 1::block.shape[1]] += 800  # each row's last cell
     text[6:] = tails.take(tail, axis=1)
@@ -173,7 +185,8 @@ def render_rows(block: np.ndarray) -> bytes:
     if slow.size:
         reprs = "".join(r.ljust(_TEXT, "\0") for r in map(repr, x[slow].tolist()))
         text[:6, slow] = np.frombuffer(reprs.encode("ascii"), "<u4").reshape(-1, 6).T
-    return text.T.tobytes().translate(None, b"\0")
+    text = text.T.tobytes()  # the word matrix goes before the copy without NULs
+    return text.translate(None, b"\0")
 
 
 def cell(x) -> str:
@@ -192,7 +205,9 @@ def write_columns(path, config_hash: str, header, columns) -> None:
     """``write_table``'s bytes for ``header``, whose names need no quoting,
     over the ``cell`` of each entry of the float arrays in ``columns`` side
     by side (a 2-D one gives a cell per column).  ``render_rows`` takes about
-    ``_BLOCK_CELLS`` cells at a time, so the whole text is never held."""
+    ``_BLOCK_CELLS`` cells (whole rows) at a time, so the whole text is never
+    held and a block of an n = 256 trajectory peaks at 1.3 to 1.5 MB.  The
+    bytes do not depend on the block size."""
     step = max(1, _BLOCK_CELLS // len(header))
     with open(path, "wb") as fh:
         fh.write(f"# config_hash={config_hash}\n{','.join(header)}\r\n".encode())

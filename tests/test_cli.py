@@ -118,10 +118,10 @@ def test_trajectory_cells_are_certified(tmp_path, monkeypatch, seeded_blur_traje
     # the array digits write almost every trajectory cell; an exact tie
     # between two candidate digit strings is left to repr
     shortest_digits, cells = _csvtext._shortest_digits, []
-    def counted(a, significand):
-        digits, k, uncertain = shortest_digits(a, significand)
+    def counted(a, low_bits):
+        digits, point, uncertain = shortest_digits(a, low_bits)
         cells.append((a.size, int(uncertain.sum())))
-        return digits, k, uncertain
+        return digits, point, uncertain
     monkeypatch.setattr(_csvtext, "_shortest_digits", counted)
     traj, y = seeded_blur_trajectory
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, True)
@@ -136,9 +136,9 @@ def test_trajectory_csv_through_the_repr_fallback(tmp_path, monkeypatch,
                                                   seeded_blur_trajectory):
     # every cell marked uncertain is written by repr itself
     shortest_digits = _csvtext._shortest_digits
-    def uncertain(a, significand):
-        digits, k, _ = shortest_digits(a, significand)
-        return digits, k, np.ones(a.shape, bool)
+    def uncertain(a, low_bits):
+        digits, point, _ = shortest_digits(a, low_bits)
+        return digits, point, np.ones(a.shape, bool)
     monkeypatch.setattr(_csvtext, "_shortest_digits", uncertain)
     traj, y = seeded_blur_trajectory
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, True)

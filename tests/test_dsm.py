@@ -157,6 +157,35 @@ def test_every_report_time_matches_the_rk_oracle(make, seed, t_end):
     assert np.all(gap <= 1e-6 * np.linalg.norm(traj.states, axis=1))
 
 
+@pytest.mark.parametrize("n, delta", [(64, 1e-2), (64, 1e-4), (64, 1e-6), (256, 1e-2)])
+def test_late_report_times_match_the_adiabatic_expansion(n, delta):
+    # the RK oracle stops at t = 50; past t = 1e3, up to an e^{-t} start
+    # term, u = (1 + d/dt)^{-1} w = w - w' + w'' - ... with w = (B + eps)^{-1}
+    # A^T f, B = A^T A, w' = -eps' (B + eps)^{-1} w and w'' = (2 eps'^2
+    # (B + eps)^{-2} - eps'' (B + eps)^{-1}) w.  Solved in the original
+    # coordinates, this shares no code with the integrator.  The dropped
+    # w''' is about (b / t)^3 ||w||; the solves lose about 1e-16 / eps.
+    # Measured over the 233 to 396 late times up to t_delta = 3.2e5, 2.9e9,
+    # 2.6e13 and 9.6e5: at most 6.2e-11, and 9.5e-10 at delta 1e-6 (the
+    # solves); without the w'' term the gap is 2.2e-8 to 2.5e-8
+    prob = gaussian_blur_problem(n, 0.05)
+    A = prob.operator.entries
+    f = add_noise(prob.f_exact, prob.decomposition, NoiseSpec(delta, 7))
+    s = default_schedule()
+    traj = run_dsm(prob.decomposition, s, f, delta).trajectory
+    B, g = A.T @ A, A.T @ f
+    late = np.flatnonzero(traj.times > 1e3)
+    assert late.size >= 100
+    for i in late:
+        t = traj.times[i]
+        eps, d1 = s.eval(t), s.derivative(t)
+        d2 = s.b * (s.b + 1.0) * s.c1 * (s.c0 + t) ** (-s.b - 2.0)
+        m = B + eps * np.eye(n)
+        w = np.linalg.solve(m, g)
+        v = np.linalg.solve(m, w)
+        expected = w + d1 * v + 2.0 * d1 * d1 * np.linalg.solve(m, v) - d2 * v
+        assert np.linalg.norm(traj.states[i] - expected) <= 1e-8 * np.linalg.norm(expected), t
+
 def _recursive_gap_integral(schedule, sg, lam, t_right, window, tol):
     """Reference for ``_gap_integrals``: the depth-first refiner of one gap.
     Each 7-node panel is compared with its two halves and split until they
