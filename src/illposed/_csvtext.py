@@ -17,7 +17,7 @@ import numpy as np
 # every platform, and leaves to ``repr`` NaN, the infinities, powers of
 # two, magnitudes outside [_LOW, _HIGH) and the rare uncertain cell.
 _LOW, _HIGH = 1e-291, 1e300  # 10**(16 - k) and its low part stay normal doubles
-_BLOCK_CELLS = 12288  # per ``render_rows`` call, whose scratch peaks at 107-122 B a cell
+_BLOCK_CELLS = 12288  # per ``render_rows`` call, whose scratch peaks at 107 B a cell
 _MANTISSA = (1 << 52) - 1
 _POWERS = range(-284, 309)  # 16 - k for the k of [_LOW, _HIGH), one either side
 _TEXT = 24  # the longest repr, "-2.2250738585072014e-308"
@@ -144,17 +144,13 @@ def render_rows(block: np.ndarray) -> bytes:
     x = block.ravel()
     a = np.abs(x)
     low_bits = x.view(np.uint64) & _MANTISSA
-    fast = (a >= _LOW) & (a < _HIGH) & (low_bits != 0)
-    if fast.all():  # nearly every block: no gathers or scatters
-        digits, point, slow = _shortest_digits(a, low_bits)
-    else:  # +-0.0 and the cells left to repr: 0.0
-        digits, point = np.zeros(cells, np.int64), np.ones(cells, np.intp)
-        slow = ~fast & (a != 0)
-        a, low_bits = a[fast], low_bits[fast]
-        digits[fast], point[fast], slow[fast] = _shortest_digits(a, low_bits)
-    del a, low_bits, fast
-    slow = np.flatnonzero(slow)
+    stand_in = ~((a >= _LOW) & (a < _HIGH) & (low_bits != 0))  # NaN fails every comparison
+    a[stand_in], low_bits[stand_in] = 1.5, 1 << 51  # the stand-in for +-0.0 and repr's cells
+    digits, point, slow = _shortest_digits(a, low_bits)
+    slow = np.flatnonzero(slow | stand_in)
+    del a, low_bits, stand_in
     digits[slow], point[slow] = 0, 1  # laid out as "0.0," until repr's text
+    slow = slow[x[slow] != 0]  # +-0.0 prints as laid out
     _, quads, zeros, kept, heads, tails, spread = _tables()
 
     groups = np.empty((4, cells), np.intp)  # digits 2-17, four at a time
@@ -206,7 +202,7 @@ def write_columns(path, config_hash: str, header, columns) -> None:
     over the ``cell`` of each entry of the float arrays in ``columns`` side
     by side (a 2-D one gives a cell per column).  ``render_rows`` takes about
     ``_BLOCK_CELLS`` cells (whole rows) at a time, so the whole text is never
-    held and a block of an n = 256 trajectory peaks at 1.3 to 1.5 MB.  The
+    held and a block of an n = 256 trajectory peaks at 1.3 MB.  The
     bytes do not depend on the block size."""
     step = max(1, _BLOCK_CELLS // len(header))
     with open(path, "wb") as fh:

@@ -81,8 +81,8 @@ class ExperimentConfig:
     noise: bool = True
     in_range_closure: bool = True
     integrator: str = "exponential_quadrature"
-    relative_tolerance: float | None = None  # None: DSMConfig's default
-    absolute_tolerance: float | None = None
+    relative_tolerance: float = DSMConfig.relative_tolerance
+    absolute_tolerance: float = DSMConfig.absolute_tolerance
     store_trajectory: bool = False
     output_dir: str = "out"
     raw: dict
@@ -94,8 +94,8 @@ class ExperimentConfig:
 
     @functools.cached_property
     def dsm_config(self) -> DSMConfig:
-        return DSMConfig(**{key: getattr(self, key) for key in ("relative_tolerance",
-                            "absolute_tolerance") if getattr(self, key) is not None})
+        return DSMConfig(relative_tolerance=self.relative_tolerance,
+                         absolute_tolerance=self.absolute_tolerance)
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "raw")

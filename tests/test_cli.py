@@ -115,21 +115,20 @@ def test_trajectory_csv_matches_the_reference_writer(tmp_path, seeded_blur_traje
 
 
 def test_trajectory_cells_are_certified(tmp_path, monkeypatch, seeded_blur_trajectory):
-    # the array digits write almost every trajectory cell; an exact tie
-    # between two candidate digit strings is left to repr
-    shortest_digits, cells = _csvtext._shortest_digits, []
-    def counted(a, low_bits):
-        digits, point, uncertain = shortest_digits(a, low_bits)
-        cells.append((a.size, int(uncertain.sum())))
-        return digits, point, uncertain
-    monkeypatch.setattr(_csvtext, "_shortest_digits", counted)
+    # the array digits write almost every trajectory cell; repr writes the
+    # powers of two and an exact tie between two candidate digit strings,
+    # and at least one cell here, so the count is known to see repr
+    written = []
+    def counted(x):
+        written.append(x)
+        return repr(x)
+    monkeypatch.setattr(_csvtext, "repr", counted, raising=False)
     traj, y = seeded_blur_trajectory
     _write_trajectory_csv(tmp_path / "t.csv", "abc", traj, y, True)
-    known = np.concatenate([traj.times, traj.residual_norms, traj.states.ravel()])
-    powers_of_two = np.abs(np.frexp(known)[0]) == 0.5  # repr's, like the zeros
-    certified = sum(size for size, _ in cells)
-    assert certified >= np.count_nonzero(known) - powers_of_two.sum()
-    assert sum(uncertain for _, uncertain in cells) <= certified // 1000
+    known = np.concatenate([traj.times, traj.residual_norms,
+                            np.linalg.norm(traj.states - y, axis=1), traj.states.ravel()])
+    powers_of_two = np.abs(np.frexp(known)[0]) == 0.5
+    assert 0 < len(written) <= powers_of_two.sum() + np.count_nonzero(known) // 1000
 
 
 def test_trajectory_csv_through_the_repr_fallback(tmp_path, monkeypatch,
