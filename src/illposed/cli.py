@@ -238,15 +238,15 @@ def _write_trajectory_csv(path: Path, config_hash: str, trajectory, y_reference,
                           include_state: bool) -> None:
     """The trajectory as CSV: t, residual_norm, error_vs_reference, then the
     state when ``include_state``."""
-    header = ["t", "residual_norm", "error_vs_reference"]
-    if include_state:
-        header.extend(f"state_{i}" for i in range(trajectory.states.shape[1]))
     # each row's sqrt(d.dot(d)), the same bits as np.linalg.norm(state - y)
     d = trajectory.states - y_reference
     with np.errstate(over="ignore"):  # a norm beyond the float range is written as inf
         errors = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).ravel()
+    del d  # points x n: freed before the renderer's block scratch is made
+    header = ["t", "residual_norm", "error_vs_reference"]
     columns = [trajectory.times, trajectory.residual_norms, errors]
     if include_state:
+        header.extend(f"state_{i}" for i in range(trajectory.states.shape[1]))
         columns.append(trajectory.states)
     write_columns(path, config_hash, header, columns)
 

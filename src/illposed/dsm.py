@@ -179,7 +179,7 @@ def _report_grid(t_end: float) -> np.ndarray:
         return np.linspace(0.0, t_end, min(_REPORT_POINTS, 65))
     interior = np.geomspace(1.0, t_end, _REPORT_POINTS - 1)
     interior[-1] = t_end
-    return np.unique(np.concatenate([[0.0], interior]))
+    return np.concatenate([[0.0], interior])  # sorted already: numpy 2.x's unique imports numpy.ma
 
 
 def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
@@ -351,7 +351,7 @@ def _add_by_gap(total: np.ndarray, values: np.ndarray, gap: np.ndarray, mask) ->
     cols = cols[np.argsort(gap[cols], kind="stable")]
     counts = np.bincount(gap[cols], minlength=total.shape[1])
     starts = np.cumsum(counts) - counts
-    for n in np.unique(counts[counts > 0]):
+    for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:  # numpy 2.x's unique imports numpy.ma
         gaps = np.flatnonzero(counts == n)
         total[:, gaps] += values[:, cols[starts[gaps, None] + np.arange(n)]].sum(axis=2)
 

@@ -84,6 +84,39 @@ def test_power_of_ten_table_is_an_exact_double_double():
             assert n == 0 or (n // (n & -n)).bit_length() <= 26, (j, half)  # n's odd part
 
 
+def test_text_tables_are_little_endian_words():
+    # a cell's words are written as bytes in text order on any host
+    _, quads, _, _, heads, tails, _ = _csvtext._tables()
+    assert quads.dtype == heads.dtype == tails.dtype == np.dtype("<u4")
+    assert quads[1234 + 40000].tobytes() == b"1234"
+    assert quads[1234 + 20000].tobytes() == b"12\0\0"  # digits from the third on NUL
+    assert heads[:, 60 + 10 + 3].tobytes() == b"\0" * 5 + b"-3."  # sign, case 1, digit
+    assert tails[:, -9 + 400 + 800].tobytes() == b"\0\0e-10\r\n"  # point -9, row end
+
+
+def test_stand_in_reaches_the_digits_exact_in_the_cells_dtypes(monkeypatch):
+    # +-0.0, NaN, the infinities, powers of two and magnitudes outside
+    # [_LOW, _HIGH) take the stand-in 1.5 by two boolean-mask stores, into
+    # the float64 magnitudes and the uint64 view of the stored mantissa
+    # bits: each value is exact in its target dtype under value-based
+    # casting (numpy 1.x) and NEP 50 alike.  The nonzero ones print by repr.
+    seen = []
+    original = _csvtext._shortest_digits
+
+    def spy(a, low_bits):
+        seen.append((a.copy(), low_bits.copy()))
+        return original(a, low_bits)
+    monkeypatch.setattr(_csvtext, "_shortest_digits", spy)
+    cells = np.array([[0.0, -0.0, np.nan, -np.inf, 2.0, 5e-324, 1e300, 0.1]])
+    expected = ",".join(map(repr, cells.ravel().tolist())) + "\r\n"
+    assert _csvtext.render_rows(cells) == expected.encode("ascii")
+    (a, low_bits), = seen
+    assert (a.dtype, low_bits.dtype) == (np.dtype(np.float64), np.dtype(np.uint64))
+    assert a.tolist() == [1.5] * 7 + [0.1]
+    tenth = int(np.float64(0.1).view(np.uint64)) & _csvtext._MANTISSA
+    assert low_bits.tolist() == [1 << 51] * 7 + [tenth]
+
+
 def _printed_digits(r):
     """The significant digits of a repr, without sign, point, leading and trailing zeros."""
     return r.split("e")[0].lstrip("-").replace(".", "").strip("0")

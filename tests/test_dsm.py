@@ -157,6 +157,24 @@ def test_every_report_time_matches_the_rk_oracle(make, seed, t_end):
     assert np.all(gap <= 1e-6 * np.linalg.norm(traj.states, axis=1))
 
 
+@pytest.mark.parametrize("schedule", [default_schedule(), PowerLawSchedule(1e-3, 1e-3, 0.9),
+                                      PowerLawSchedule(1.0, 1.0, 0.99)],
+                         ids=["default", "steep_0.9", "slow_0.99"])
+def test_report_times_up_to_1e3_match_the_rk_oracle(schedule):
+    # the window between the RK checks up to t = 50 and the expansion past
+    # t = 1e3, with the switch from panels to Gauss-Laguerre at t = 111.7.
+    # The oracle runs at rtol 1e-10, so its own error stays below the bound;
+    # measured: at most 7.2e-11, and 9.4e-5 to 4.2e-4 past 111.7 with a
+    # Laguerre rule that reads eps one time unit late
+    prob = gaussian_blur_problem(64, 0.05)
+    f = add_noise(prob.f_exact, prob.decomposition, NoiseSpec(1e-2, 7))
+    traj = evolve(prob.decomposition, schedule, f, 1e3)
+    rk = rk_states(prob.operator.entries, schedule, f, traj.times, rtol=1e-10, atol=1e-13)
+    assert traj.times.size == 512
+    gap = np.linalg.norm(traj.states - rk, axis=1)
+    assert np.all(gap <= 1e-10 * np.linalg.norm(rk, axis=1))
+
+
 @pytest.mark.parametrize("n, delta", [(64, 1e-2), (64, 1e-4), (64, 1e-6), (256, 1e-2)])
 def test_late_report_times_match_the_adiabatic_expansion(n, delta):
     # the RK oracle stops at t = 50; past t = 1e3, up to an e^{-t} start
@@ -292,6 +310,14 @@ def test_final_state_matches_per_mode_quadrature_at_the_stopping_time(delta):
          for sg, lam in zip(dec.singular_values * p.coefficients, p.lambdas)]
     u = dec.right_vectors @ np.array(z)
     assert np.linalg.norm(res.u_final - u) <= 1e-14 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("t_end", [np.nextafter(2.0, 3.0), 2.5, 1e3, 2.6e13, 1.7e308])
+def test_report_grid_rises_strictly_to_t_end(t_end):
+    # ``evolve`` takes the geometric grid as it is, with no sort or dedup
+    times = dsm._report_grid(t_end)
+    assert times.size == 512 and times[0] == 0.0 and times[-1] == t_end
+    assert np.all(np.diff(times) > 0)
 
 
 @pytest.mark.parametrize("start", ["zero", "random"])

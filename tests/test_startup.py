@@ -1,7 +1,9 @@
 """The library runs on numpy alone: importing the library and its CLI, the
 production path of every CLI command and the Cholesky oracle
 ``regularized_normal_solve_direct`` load no scipy module, and run with
-scipy blocked.
+scipy blocked.  The commands load no ``numpy.ma`` either: numpy 2.x imports
+it on the first call to ``np.unique``, which a one-shot run pays for in time
+and resident memory.
 
 The checks run in a fresh interpreter, because the pytest process has
 scipy loaded already (the tests use it as an oracle).
@@ -29,13 +31,14 @@ import illposed.cli
 from illposed.cli import EXIT_OK, main
 
 
-def scipy_modules():
+def modules(package):
     return sorted(m for m, module in sys.modules.items()
-                  if module is not None and (m == "scipy" or m.startswith("scipy.")))
+                  if module is not None and (m == package or m.startswith(package + ".")))
 
 
 work = Path(sys.argv[1])
-imported = scipy_modules()
+imported = modules("scipy")
+ma_at_import = modules("numpy.ma")  # numpy 1.x imports it with numpy itself
 runs = [
     ("solve", ["--store-trajectory"],
      {"problem": {"name": "gaussian_blur", "n": 64, "width": 0.05}, "delta": 1e-2}),
@@ -54,12 +57,14 @@ for command, flags, problem in runs:
     path = work / f"{command}.json"
     path.write_text(json.dumps(cfg))
     codes[command] = main([command, "--config", str(path), "--quiet", *flags])
-after_commands = scipy_modules()
+after_commands = modules("scipy")
+ma_by_commands = sorted(set(modules("numpy.ma")) - set(ma_at_import))
 
 prob = illposed.identity_problem(3)
 illposed.regularized_normal_solve_direct(prob.operator, 0.5, prob.f_exact)
 print(json.dumps({"imported": imported, "after_commands": after_commands,
-                  "codes": codes, "after_oracle": scipy_modules()}))
+                  "ma_by_commands": ma_by_commands, "codes": codes,
+                  "after_oracle": modules("scipy")}))
 """
 
 
@@ -72,6 +77,7 @@ def test_library_and_cli_commands_run_without_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["imported"] == []
     assert report["after_commands"] == []
+    assert report["ma_by_commands"] == []
     assert report["codes"] == dict.fromkeys(
         ("solve", "convergence", "nonlinear", "check-schedule"), EXIT_OK)
     assert report["after_oracle"] == []

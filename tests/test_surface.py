@@ -1,13 +1,20 @@
 """The public surface: every exported name is listed here and named in
-README's library tour, so a dead name or an undocumented one fails."""
+README's library tour, so a dead name or an undocumented one fails, and
+every Python example in README.md and PAPER.md runs."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import illposed
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC = [
     "AdmissibilityReport", "ConfigError", "DSMConfig", "DSMResult", "DenseOperator",
@@ -47,3 +54,17 @@ def test_dsm_config_holds_the_tolerances_and_the_start_state():
     # the report grid and the step budget are the integrator's own constants
     assert [f.name for f in dataclasses.fields(illposed.DSMConfig)] == [
         "relative_tolerance", "absolute_tolerance", "initial_state"]
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_every_python_example_runs(doc, tmp_path):
+    # each block in a fresh interpreter, as a reader would paste it
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert blocks
+    paths = [str(ROOT / "src"), *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for code in blocks:
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, f"{doc}:\n{code}\n{proc.stderr}"
