@@ -197,17 +197,19 @@ def build_linear_problem(cfg: ExperimentConfig) -> TestProblem:
     # a linear kind's one None default, rank_deficient's seed, is the config seed
     args = [cfg.seed if cfg.problem[key] is None else cfg.problem[key]
             for key in _PROBLEMS[name][1]]
+    return _built_problem(name, *args)
+
+
+def _generated(name: str, *args):
+    """The generator's output, a refused parameter raised as ConfigError.
+    Generators are looked up by module-level name at call time."""
     try:
-        return _built_problem(name, *args)
+        return globals()[_PROBLEMS[name][0]](*args)
     except PreconditionError as exc:
         raise ConfigError(f"problem parameters invalid: {exc}") from None
 
 
-@functools.lru_cache(maxsize=4)
-def _built_problem(name: str, *args) -> TestProblem:
-    """The generator's problem, built once per argument set and shared: it is
-    immutable.  Generators are looked up by module-level name at call time."""
-    return globals()[_PROBLEMS[name][0]](*args)
+_built_problem = functools.lru_cache(maxsize=4)(_generated)  # immutable, so shared
 
 
 def build_nonlinear_problem(cfg: ExperimentConfig):
@@ -216,10 +218,7 @@ def build_nonlinear_problem(cfg: ExperimentConfig):
         raise ConfigError(f"problem kind {name!r} is not nonlinear; use \"cubic\"")
     n, coefficients, y = (cfg.problem[key] for key in _PROBLEMS[name][1])
     y = [(1.0, -1.0, 0.5)[i % 3] for i in range(n)] if y is None else y
-    try:
-        op, f_exact = globals()[_PROBLEMS[name][0]](n, coefficients, y)
-    except PreconditionError as exc:
-        raise ConfigError(f"problem parameters invalid: {exc}") from None
+    op, f_exact = _generated(name, n, coefficients, y)
     return op, f_exact, np.asarray(y, dtype=float)
 
 

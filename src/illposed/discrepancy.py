@@ -313,7 +313,7 @@ def _epsilon_root(p: DiscrepancyProfile, delta: float, C: float) -> tuple[float,
         hi *= 10.0
         iterations += 1
         if hi > _EPS_CEIL:
-            raise NumericalError("discrepancy bracket growth overflowed")
+            raise NumericalError("discrepancy bracket growth overflowed", stage="discrepancy")
     achieved = None  # discrepancy_value(p, hi), once the replay has evaluated it
     value, sqrt, rtol, tiny, inf = (discrepancy_value, math.sqrt, _BRACKET_RTOL,
                                     _NORMAL_MIN, math.inf)

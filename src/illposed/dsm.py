@@ -5,41 +5,38 @@ In the right-singular coordinates z = V_r^T u the evolution is diagonal,
 
     z_i' = -z_i + s_i g_i / (s_i^2 + eps(t)),    g = U_r^T f,
 
-so the integrator evolves the r-vector z, reading s, g and the null mass
-from the data's DiscrepancyProfile, and maps back with u = V_r z only at
-report times; the part of the start state outside span(V_r) decays as
-e^{-t}.  It is an exponential integrator built on the variation-of-constants
-form
+so the integrator evolves the r-vector z from z(0) = 0, reading s, g and
+the null mass from the data's DiscrepancyProfile, and maps back with
+u = V_r z only at report times.  It is an exponential integrator built on
+the variation-of-constants form
 
     z(b) = e^{-(b-a)} z(a) + integral_0^{b-a} e^{-tau} w(b - tau) dtau.
 
 Once b is past the e^{-tau} window plus the largest Gauss-Laguerre node
-(about 112), z(b) is e^{-b} z(0) plus the integral over [0, inf) to
-rounding: the tracking of w(eps(t)).  The integrator takes it from a
-16-node Gauss-Laguerre rule, with no chaining, wherever the 8-node rule
-agrees within the gap tolerance.  Earlier times, and late times whose
-estimate misses, take the gap integral from Gauss-Legendre panels refined
-in array rounds and chain z from the previous time; the gap integrals do
-not depend on z, so consecutive gaps are integrated in groups.  It works in
-shifted exponents per gap, so stopping times far beyond the underflow
-horizon of e^{-t} are handled exactly.  The tests check it against an
-independent Runge-Kutta oracle in the original coordinates.
+(about 112), z(b) is the integral over [0, inf) to rounding: the tracking
+of w(eps(t)).  The integrator takes it from a 16-node Gauss-Laguerre rule,
+with no chaining, wherever the 8-node rule agrees within the gap tolerance.
+Earlier times, and late times whose estimate misses, take the gap integral
+from Gauss-Legendre panels refined in array rounds and chain z from the
+previous time; the gap integrals do not depend on z, so consecutive gaps
+are integrated in groups.  It works in shifted exponents per gap, so
+stopping times far beyond the underflow horizon of e^{-t} are handled
+exactly.  The tests check it against an independent Runge-Kutta oracle in
+the original coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrepancy import (DiscrepancyProfile, StoppingResult, build_profile,
                           stop_from_profile)
-from .errors import (ConfigError, DimensionMismatchError, IllposedError,
-                     NumericalError, PreconditionError)
-from .operators import (SpectralDecomposition, _frozen, _positive, _sized, _spectral_solve,
-                        as_vector)
+from .errors import (ConfigError, DimensionMismatchError, NumericalError, PreconditionError,
+                     _stage)
+from .operators import SpectralDecomposition, _frozen, _positive, _sized, _spectral_solve
 from .schedule import Schedule
 
 # Weight e^{-tau} below e^{-60} ~ 9e-27 is droppable at double precision.
@@ -74,7 +71,7 @@ _NULL_DUST_REL = 1e-14
 
 @dataclass(frozen=True)
 class DSMConfig:
-    """Tolerances and start state u0 of ``evolve``.
+    """Tolerances of ``evolve``.
 
     Each report time b's quadrature tolerance is
     ``max(absolute_tolerance, relative_tolerance * ||w(b)||)``.  The report
@@ -85,15 +82,11 @@ class DSMConfig:
 
     relative_tolerance: float = 1e-8
     absolute_tolerance: float = 1e-12
-    initial_state: np.ndarray | None = None
 
     def __post_init__(self):
         # a NaN or infinite tolerance would pass or fail every estimate silently
         _positive(self.relative_tolerance, "relative_tolerance", ConfigError)
         _positive(self.absolute_tolerance, "absolute_tolerance", ConfigError)
-        if self.initial_state is not None:
-            object.__setattr__(self, "initial_state",
-                               _frozen(as_vector(self.initial_state, "initial_state")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +110,7 @@ class DSMResult:
     ``w_final`` is the regularized normal-equation solution at the
     stopping regularization strength (the equilibrium the evolution
     tracks); ``trajectory`` is the path from 0 to the stopping time
-    (the start state alone when that time is 0), whose last row is
+    (the zero start state alone when that time is 0), whose last row is
     ``u_final`` and ``residual``.
     """
 
@@ -140,7 +133,7 @@ class DSMResult:
 
 def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
            t_end: float, cfg: DSMConfig | None = None) -> Trajectory:
-    """Integrate the evolution from 0 to ``t_end`` and record the path.
+    """Integrate the evolution from u(0) = 0 to ``t_end`` and record the path.
 
     ``f_delta`` is the data vector, or its profile from ``build_profile``
     under ``dec``.  A failure raises ``NumericalError`` tagged with stage
@@ -155,23 +148,18 @@ def evolve(dec: SpectralDecomposition, schedule: Schedule, f_delta,
             f"profile has {profile.coefficients.shape[0]} coefficients, "
             f"operator has numerical rank {dec.numerical_rank}")
     _positive(t_end, "t_end")
-    u0 = _initial_state(dec, cfg.initial_state)
     sg, lam = dec.singular_values * profile.coefficients, profile.lambdas
     times = _report_grid(t_end)
     # each report time's tolerance max(atol, rtol ||w(b)||)
     scale = np.linalg.norm(sg[:, None] / (lam[:, None] + schedule.eval(times[1:])), axis=0)
     tol = np.maximum(cfg.absolute_tolerance, cfg.relative_tolerance * scale)
     z = np.empty((times.size, sg.size))
-    z[0] = dec.right_vectors.T @ u0
+    z[0] = 0.0
     rows, failure = _evolve_exponential(schedule, sg, lam, times, tol, z)
-    trajectory = _record(dec, profile, u0, times[:rows], z[:rows])
+    trajectory = _record(dec, profile, times[:rows], z[:rows])
     if failure is not None:
         raise NumericalError(failure, stage="integration", trajectory=trajectory)
     return trajectory
-
-
-def _initial_state(dec: SpectralDecomposition, u0) -> np.ndarray:
-    return np.zeros(dec.cols) if u0 is None else _sized(u0, dec.cols, "initial state")
 
 
 def _report_grid(t_end: float) -> np.ndarray:
@@ -182,17 +170,13 @@ def _report_grid(t_end: float) -> np.ndarray:
     return np.concatenate([[0.0], interior])  # sorted already: numpy 2.x's unique imports numpy.ma
 
 
-def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
-            times, zs) -> Trajectory:
-    """States u = V_r z + e^{-t} (u0 - V_r V_r^T u0) at ``times``, with the
+def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, times, zs) -> Trajectory:
+    """States u = V_r z at ``times``, the start row exactly +0.0, with the
     spectral residuals sqrt(sum_i (s_i z_i - g_i)^2 + null_mass)."""
-    V = dec.right_vectors
     ts = np.asarray(times, dtype=float)
     z = np.asarray(zs, dtype=float)
-    states, decay, perp = z @ V.T, np.exp(-ts), u0 - V @ (V.T @ u0)
-    for i in range(0, ts.size, 64):  # in place: no second points x n array
-        states[i:i + 64] += decay[i:i + 64, None] * perp
-    states[0] = u0  # exactly, not its two parts summed with rounding
+    states = z @ dec.right_vectors.T
+    states[0] = 0.0  # +0.0: the product can round to -0.0
     states.setflags(write=False)  # so Trajectory keeps it without a copy
     misfit = z * dec.singular_values - p.coefficients
     residuals = np.sqrt(np.sum(misfit * misfit, axis=1) + p.null_mass)
@@ -200,14 +184,14 @@ def _record(dec: SpectralDecomposition, p: DiscrepancyProfile, u0: np.ndarray,
 
 
 def _evolve_exponential(schedule, sg, lam, times, tol, z) -> tuple[int, str | None]:
-    """Fill ``z`` past its row z(0) and return the rows filled with ``None``,
-    or the rows before the earliest failure with its message; ``tol`` holds
-    the tolerance of each report time past 0.
+    """Fill ``z`` past its row z(0) = 0 and return the rows filled with
+    ``None``, or the rows before the earliest failure with its message;
+    ``tol`` holds the tolerance of each report time past 0.
 
-    A late time b, past _LATE_TIME, takes z(b) = e^{-b} z(0) plus the 16-node
-    Gauss-Laguerre integral, unchained, when the 8-node rule agrees within
-    the gap tolerance; late times are ruled in blocks whose r x times x 24
-    node array is no larger than a panel round's.  Every other gap takes its
+    A late time b, past _LATE_TIME, takes z(b) as the 16-node Gauss-Laguerre
+    integral, unchained, when the 8-node rule agrees within the gap
+    tolerance; late times are ruled in blocks whose r x times x 24 node
+    array is no larger than a panel round's.  Every other gap takes its
     integral from ``_gap_integrals``, in groups that close before their round
     0 (three evaluations per top-level panel) would pass 2 * _ROUND_PANELS,
     and z is chained across the group.  _MAX_STEPS is charged in report-time
@@ -229,8 +213,7 @@ def _evolve_exponential(schedule, sg, lam, times, tol, z) -> tuple[int, str | No
                 return start + 1, f"max_steps = {_MAX_STEPS} exceeded at t = {a[start]}"
             values, ruled[start:ready] = _laguerre_integrals(
                 schedule, sg, lam, b[start:ready], tol[start:ready])
-            late = values.T + np.exp(-b[start:ready])[:, None] * z[0]
-            z[start + 1:ready + 1][ruled[start:ready]] = late[ruled[start:ready]]
+            z[start + 1:ready + 1][ruled[start:ready]] = values.T[ruled[start:ready]]
             budget -= ready - start
         cost = np.cumsum(np.where(ruled[start:ready], 0, round0[start:ready]))
         stop = start + max(1, int(np.searchsorted(cost, 2 * _ROUND_PANELS, side="right")))
@@ -366,7 +349,6 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
     ``projected_null_mass``, anything larger is rejected (use C > 1 for
     data with genuine null-space content).
     """
-    cfg = cfg or DSMConfig()
     f = _sized(f_delta, dec.rows)
 
     with _stage("projection"):
@@ -383,22 +365,10 @@ def run_dsm(dec: SpectralDecomposition, schedule: Schedule, f_delta,
 
     with _stage("integration"):
         if stopping.t_delta == 0.0:
-            u0 = _initial_state(dec, cfg.initial_state)
-            trajectory = _record(dec, profile, u0, [0.0], (dec.right_vectors.T @ u0)[None])
+            trajectory = _record(dec, profile, [0.0], np.zeros((1, dec.numerical_rank)))
         else:
             trajectory = evolve(dec, schedule, profile, stopping.t_delta, cfg)
 
     return DSMResult(stopping=stopping, trajectory=trajectory,
                      w_final=_spectral_solve(dec, stopping.epsilon_star, profile.coefficients),
                      projected_null_mass=projected_null)
-
-
-@contextmanager
-def _stage(name: str):
-    """Tag escaping library errors with the pipeline stage that failed."""
-    try:
-        yield
-    except IllposedError as exc:
-        if exc.stage is None:
-            exc.stage = name
-        raise

@@ -6,12 +6,15 @@ violations exit 3, numerical failures exit 4.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class IllposedError(Exception):
     """Base class for library errors.
 
     ``stage`` names the pipeline stage that raised, when known (set by
-    orchestration code such as :func:`illposed.dsm.run_dsm`).
+    the pipelines :func:`illposed.dsm.run_dsm` and
+    :func:`illposed.nonlinear.nonlinear_discrepancy_result`).
     """
 
     def __init__(self, message: str, *, stage: str | None = None):
@@ -44,3 +47,14 @@ class NumericalError(IllposedError):
         self.trajectory = trajectory
         self.trace = trace
         self.best = best
+
+
+@contextmanager
+def _stage(name: str):
+    """Tag escaping library errors with the pipeline stage that failed."""
+    try:
+        yield
+    except IllposedError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError, PreconditionError
+from .errors import DimensionMismatchError, NumericalError, PreconditionError, _stage
 from .operators import _frozen, _norm, _positive, _sized
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -247,30 +247,33 @@ def nonlinear_discrepancy_result(op: SeparableMonotoneOperator, f_delta, delta: 
         return tuple((eps, nm.residual, nm.F_value, nm.gap_certificate)
                      for eps, nm in cache.items())
 
-    lo, hi = None, _SCAN_EPS_MIN
-    while hi <= _SCAN_EPS_MAX and at(hi).residual < target:
-        lo, hi = hi, hi * _SCAN_RATIO
-    if lo is None or hi > _SCAN_EPS_MAX:
-        raise NumericalError(
-            "discrepancy equation has no root in scan range", trace=trace())
+    with _stage("scan"):
+        lo, hi = None, _SCAN_EPS_MIN
+        while hi <= _SCAN_EPS_MAX and at(hi).residual < target:
+            lo, hi = hi, hi * _SCAN_RATIO
+        if lo is None or hi > _SCAN_EPS_MAX:
+            raise NumericalError(
+                "discrepancy equation has no root in scan range", trace=trace())
 
-    while hi - lo > 1e-10 * hi:
-        mid = math.sqrt(lo * hi)
-        if at(mid).residual < target:
-            lo = mid
-        else:
-            hi = mid
+    with _stage("bisection"):
+        while hi - lo > 1e-10 * hi:
+            mid = math.sqrt(lo * hi)
+            if at(mid).residual < target:
+                lo = mid
+            else:
+                hi = mid
 
     nm, theta = cache[hi], None
     tolerance = 1e-9 * _norm(f)
     if abs(nm.residual - target) > tolerance:
-        nm, theta = _continue_across(op, f, cache[lo], nm, target, tolerance)
-        if abs(nm.residual - target) > tolerance or not 0.0 <= nm.gap_certificate <= budget:
-            raise NumericalError(
-                f"continuation across the bracket [{lo:.12e}, {hi:.12e}] ends "
-                f"{abs(nm.residual - target):.3e} off C*delta with the certificate "
-                f"{nm.gap_certificate:.3e} against the budget {budget:.3e}",
-                trace=trace(), best=nm)
+        with _stage("continuation"):
+            nm, theta = _continue_across(op, f, cache[lo], nm, target, tolerance)
+            if abs(nm.residual - target) > tolerance or not 0.0 <= nm.gap_certificate <= budget:
+                raise NumericalError(
+                    f"continuation across the bracket [{lo:.12e}, {hi:.12e}] ends "
+                    f"{abs(nm.residual - target):.3e} off C*delta with the certificate "
+                    f"{nm.gap_certificate:.3e} against the budget {budget:.3e}",
+                    trace=trace(), best=nm)
     return NonlinearStopping(epsilon_delta=hi, u_delta=nm.u, residual=nm.residual,
                              gap_certificate=nm.gap_certificate, F_value=nm.F_value,
                              trace=trace(), theta=theta)

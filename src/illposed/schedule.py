@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PreconditionError
-from .operators import _positive
+from .operators import _frozen, _positive
 
 
 class Schedule(abc.ABC):
@@ -50,7 +50,7 @@ def _decaying(x: np.ndarray) -> bool:
     return bool(np.all((b < a) | ((a == 0.0) & (b == 0.0))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmissibilityReport:
     t_grid: np.ndarray
     q_values: np.ndarray
@@ -58,6 +58,11 @@ class AdmissibilityReport:
     q_tail_decreasing: bool
     r_tail_decreasing: bool
     admissible: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "t_grid", _frozen(self.t_grid))
+        object.__setattr__(self, "q_values", _frozen(self.q_values))
+        object.__setattr__(self, "r_values", _frozen(self.r_values))
 
 
 @dataclass(frozen=True)

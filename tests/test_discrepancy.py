@@ -341,6 +341,9 @@ class TestRootMatchesBisection:
         with np.errstate(over="ignore"):
             assert _assert_same_root(p, target, 1.0) == (
                 NumericalError, "discrepancy bracket growth overflowed")
+            with pytest.raises(NumericalError) as info:
+                solve_for_epsilon(p, target)
+        assert info.value.stage == "discrepancy"  # as its sibling, the missed root
 
     def test_root_below_the_midpoint_underflow(self):
         # sqrt(lo * hi) is 0 once the bracket falls below about 1e-150

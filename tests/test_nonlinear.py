@@ -378,6 +378,7 @@ class TestDiscrepancy:
         assert abs(best.residual - 0.15) <= 1e-9
         assert best.gap_certificate > 0.0125
         assert info.value.trace
+        assert info.value.stage == "continuation"
 
     def test_continuation_floor_above_F_raises(self):
         # the two-basin phi from SeparableMonotoneOperator's docstring: the
@@ -391,6 +392,7 @@ class TestDiscrepancy:
         with pytest.raises(NumericalError, match=r"certificate -2\.1\d*e-01 against") as info:
             nonlinear_discrepancy_result(op, np.array([1.5]), 0.1, 1.5)
         assert info.value.best.gap_certificate < 0.0
+        assert info.value.stage == "continuation"
 
     def test_overshoot_at_the_smallest_eps_raises_at_once(self):
         # tanh cannot reach f = 2, so every residual is at least 1 > C*delta:
@@ -399,6 +401,26 @@ class TestDiscrepancy:
         with pytest.raises(NumericalError, match="no root in scan range") as info:
             nonlinear_discrepancy_result(op, np.array([2.0]), 1e-2, 1.1)
         assert [t[0] for t in info.value.trace] == [1e-14]
+        assert info.value.stage == "scan"
+
+    def test_failure_inside_the_bisection_is_tagged(self, monkeypatch):
+        # the scan's last point reaches C*delta = 0.15; the next near-minimizer
+        # is the bisection's first, and it fails
+        op = SeparableMonotoneOperator((lambda x: x,))
+        real, reached = illposed.nonlinear.near_minimize, []
+
+        def failing_after_the_scan(op, f, eps, budget):
+            if reached:
+                raise NumericalError("coordinate 0 overflows on its search bracket")
+            nm = real(op, f, eps, budget)
+            if nm.residual >= 0.15:
+                reached.append(eps)
+            return nm
+
+        monkeypatch.setattr(illposed.nonlinear, "near_minimize", failing_after_the_scan)
+        with pytest.raises(NumericalError, match="overflows on its search bracket") as info:
+            nonlinear_discrepancy_result(op, np.array([1.0]), 0.1, 1.5)
+        assert info.value.stage == "bisection"
 
 
 class TestMonotonicity:

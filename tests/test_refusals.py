@@ -71,9 +71,6 @@ def _overflowing_run():
      "degenerate profile"),
     (lambda: evolve(_dec(3), default_schedule(), build_profile(_dec(4), np.ones(4)), 1.0),
      DimensionMismatchError, "profile has 4 coefficients"),
-    (lambda: evolve(_dec(3), default_schedule(), np.ones(3), 1.0,
-                    DSMConfig(initial_state=np.zeros(4))),
-     DimensionMismatchError, "initial state has length 4, expected 3"),
     (lambda: near_minimize(_cubic(), np.ones(3), 0.0, 1e-6), PreconditionError,
      "eps must be positive"),
     (lambda: near_minimize(_cubic(), np.ones(4), 0.1, 1e-6), DimensionMismatchError,
@@ -127,7 +124,7 @@ def _overflowing_run():
         "profile_empty",
         "profile_zero_data_norm", "profile_nan_null_mass", "profile_inf_data_norm",
         "profile_nan_coefficient", "profile_overflowing_data", "profile_zero_lambdas",
-        "evolve_profile_length", "evolve_initial_state_length",
+        "evolve_profile_length",
         "near_minimize_eps_0", "near_minimize_data_length", "separable_no_maps",
         "operator_argument_length", "phi_returns_array", "nonlinear_delta_0",
         "nonlinear_data_length", "cubic_reference_length", "schedule_derivative_negative_t",

@@ -122,6 +122,15 @@ class TestAdmissibility:
             [10.0, 100.0, 1000.0, 10000.0])
         assert rep.admissible
 
+    def test_report_holds_read_only_copies(self):
+        grid = np.array([10.0, 100.0, 1000.0, 10000.0])
+        rep = default_schedule().admissibility_report(grid)
+        grid[0] = 20.0
+        assert rep.t_grid[0] == 10.0
+        for values in (rep.t_grid, rep.q_values, rep.r_values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = -1.0
+
     def test_bad_grid_rejected(self):
         with pytest.raises(PreconditionError):
             default_schedule().admissibility_report([])

@@ -50,10 +50,24 @@ def test_noise_has_no_projection_switch_of_its_own():
 
 
 
-def test_dsm_config_holds_the_tolerances_and_the_start_state():
-    # the report grid and the step budget are the integrator's own constants
+def test_dsm_config_holds_the_two_tolerances():
+    # the report grid, the step budget and the zero start state are the
+    # integrator's own constants
     assert [f.name for f in dataclasses.fields(illposed.DSMConfig)] == [
-        "relative_tolerance", "absolute_tolerance", "initial_state"]
+        "relative_tolerance", "absolute_tolerance"]
+    # a config of scalars compares and hashes by value
+    assert illposed.DSMConfig() == illposed.DSMConfig(1e-8, 1e-12)
+    assert hash(illposed.DSMConfig()) == hash(illposed.DSMConfig(1e-8, 1e-12))
+
+
+def test_public_records_holding_arrays_compare_by_identity():
+    # a generated __eq__ compares arrays elementwise and raises on them, and
+    # makes the record unhashable
+    records = [cls for name in PUBLIC if dataclasses.is_dataclass(cls := getattr(illposed, name))]
+    with_arrays = [cls for cls in records
+                   if any("ndarray" in str(f.type) for f in dataclasses.fields(cls))]
+    assert [cls.__name__ for cls in with_arrays if cls.__eq__ is not object.__eq__] == []
+    assert len(with_arrays) == 9
 
 
 @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
